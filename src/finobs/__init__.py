@@ -37,7 +37,9 @@ from .measurement import (
     common_coarsening,
     common_refinement,
     ideal_contains,
+    ideal_members,
     is_observable,
+    label_codes,
     le,
     partition_of_family,
     pref_le,

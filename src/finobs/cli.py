@@ -55,12 +55,13 @@ def _load_observable(path):
 
 def _seed_value(args):
     env = os.environ.get("FINOBS_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValidationError(f"FINOBS_SEED must be an integer, got {env!r}") from None
-    return args.seed
+    try:
+        seed = args.seed if env is None else int(env)
+    except ValueError:
+        raise ValidationError(f"FINOBS_SEED must be an integer, got {env!r}") from None
+    if seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed}")
+    return seed
 
 
 def _cmd_measure(args):

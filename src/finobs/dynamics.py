@@ -131,6 +131,8 @@ def concatenate(a, b):
         raise ValidationError(
             f"dimension mismatch: first operator is {a.shape[0]}, second is {b.shape[0]}"
         )
+    if not a.size:
+        raise ValidationError("cannot concatenate empty operators")
     r = _exp_minus_i(a) @ _exp_minus_i(b)
     t, z = scipy.linalg.schur(r, output="complex")
     diag = np.diag(t)

@@ -5,7 +5,7 @@ suites and tests.  Everything here is meant for desk-scale inputs; the
 counts grow exponentially.
 """
 
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations_with_replacement, product
 
 _ABSENT = object()
 
@@ -48,10 +48,3 @@ def set_partitions(items):
         for i in range(len(part)):
             yield [[first] + part[i] if i == j else list(part[j]) for j in range(len(part))]
         yield [[first]] + [list(b) for b in part]
-
-
-def all_subsets(items):
-    """Yield every subset of `items` as a tuple, smallest first."""
-    items = list(items)
-    for r in range(len(items) + 1):
-        yield from combinations(items, r)

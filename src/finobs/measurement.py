@@ -8,9 +8,10 @@ distinguished element `a` whose block absorbs the unmeasured objects.
 All ideal-level operations below work on that partition code.
 """
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 from itertools import combinations, permutations
+
+import numpy as np
 
 from .errors import (
     InsufficientLabels,
@@ -26,6 +27,8 @@ class ObjectSet:
 
     elements: tuple
     distinguished: object = "a"
+    # sort key of each element; the distinguished one sorts first, at -1
+    _position: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "elements", tuple(self.elements))
@@ -33,14 +36,14 @@ class ObjectSet:
             raise ValidationError("object set has repeated elements")
         if self.distinguished in self.elements:
             raise ValidationError("distinguished element must lie outside X")
+        position = {x: i for i, x in enumerate(self.elements)}
+        position[self.distinguished] = -1
+        object.__setattr__(self, "_position", position)
 
     def sort_key(self, x):
-        # distinguished element sorts before every object of X
-        if x == self.distinguished:
-            return -1
         try:
-            return self.elements.index(x)
-        except ValueError:
+            return self._position[x]
+        except (KeyError, TypeError):
             raise ValidationError(f"unknown object {x!r}") from None
 
     def universe(self):
@@ -53,11 +56,13 @@ class LabelSet:
 
     values: tuple
     ordered: bool = False
+    _index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(self.values))
         if len(set(self.values)) != len(self.values):
             raise ValidationError("label set has repeated values")
+        object.__setattr__(self, "_index", {y: i for i, y in enumerate(self.values)})
         if self.ordered:
             try:
                 ranked = sorted(self.values)
@@ -77,20 +82,18 @@ class PartialLabeling:
 
     def __post_init__(self):
         raw = self.entries.items() if isinstance(self.entries, dict) else self.entries
-        pairs = []
-        seen = set()
-        label_pool = set(self.labels.values)
+        position = self.objects._position
+        slots = [None] * len(self.objects.elements)  # one per object, in sort order
         for x, y in raw:
-            if x in seen:
-                raise ValidationError(f"object {x!r} labeled twice")
-            if x not in self.objects.elements:
+            i = position.get(x, -1)  # -1 also for the distinguished element
+            if i < 0:
                 raise ValidationError(f"entry for {x!r} outside the object set")
-            if y not in label_pool:
+            if slots[i] is not None:
+                raise ValidationError(f"object {x!r} labeled twice")
+            if y not in self.labels._index:
                 raise ValidationError(f"label {y!r} outside the label set")
-            seen.add(x)
-            pairs.append((x, y))
-        pairs.sort(key=lambda p: self.objects.sort_key(p[0]))
-        object.__setattr__(self, "entries", tuple(pairs))
+            slots[i] = (x, y)
+        object.__setattr__(self, "entries", tuple(p for p in slots if p is not None))
 
     def as_dict(self):
         return dict(self.entries)
@@ -130,10 +133,12 @@ class Scale:
 
 @dataclass(frozen=True)
 class PartitionPlus:
-    """Partition of X union {a}; canonical block order by least element."""
+    """Partition of X union {a}; blocks ordered by least element, so a's is 0."""
 
     objects: ObjectSet
     blocks: tuple
+    # block number of each element by sort key + 1, so a's slot is 0
+    _where: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         key = self.objects.sort_key
@@ -151,14 +156,16 @@ class PartitionPlus:
             raise ValidationError("blocks do not cover X plus the distinguished element")
         norm.sort(key=lambda b: key(b[0]))
         object.__setattr__(self, "blocks", tuple(norm))
+        position = self.objects._position
+        where = [0] * len(covered)
+        for i, block in enumerate(norm):
+            for x in block:
+                where[position[x] + 1] = i
+        object.__setattr__(self, "_where", tuple(where))
 
     def block_index(self):
         """Map each element to the index of its block."""
-        out = {}
-        for i, block in enumerate(self.blocks):
-            for x in block:
-                out[x] = i
-        return out
+        return dict(zip(self.objects.universe(), self._where))
 
     def distinguished_index(self):
         return self.block_index()[self.objects.distinguished]
@@ -171,8 +178,14 @@ class PartitionPlus:
         return all(len({where[x] for x in block}) == 1 for block in self.blocks)
 
 
+def _outside(f, objects, labels):
+    """True when f lives over another object or label set; identity first."""
+    same = f.objects is objects and f.labels is labels
+    return not same and (f.objects != objects or f.labels != labels)
+
+
 def _same_context(f, g):
-    if f.objects != g.objects or f.labels != g.labels:
+    if _outside(g, f.objects, f.labels):
         raise ValidationError("labelings live over different object or label sets")
 
 
@@ -227,19 +240,20 @@ def partition_of_family(objects, labels, family):
     transitive, and InsufficientLabels when the family would need more
     labels than Y offers to stay directed.
     """
-    family = list(family)
+    distinct = set()
     for f in family:
-        if f.objects != objects or f.labels != labels:
+        if _outside(f, objects, labels):
             raise ValidationError("family member over a different object or label set")
+        distinct.add(f.entries)
     dom = sorted(
-        {x for f in family for x in f.domain()}, key=objects.sort_key
+        {x for entries in distinct for x, _ in entries}, key=objects.sort_key
     )
     separated = set()
-    for f in family:
-        for (x, fx), (y, fy) in combinations(f.entries, 2):
-            if fx != fy:
-                separated.add((x, y))
-                separated.add((y, x))
+    for entries in distinct:
+        separated.update(
+            (x, y) for (x, fx), (y, fy) in combinations(entries, 2) if fx != fy
+        )
+    separated |= {(y, x) for x, y in separated}
 
     def related(x, y):
         return (x, y) not in separated
@@ -270,33 +284,63 @@ def partition_of_family(objects, labels, family):
     return PartitionPlus(objects, tuple(blocks) + (tuple(absorber),))
 
 
-@lru_cache(maxsize=1024)
-def _block_index_cached(partition):
-    # read-only share across the many membership queries a sweep makes
-    return partition.block_index()
-
-
 def ideal_contains(partition, f):
     """Membership of a labeling in the ideal coded by `partition`.
 
     True iff dom f avoids the distinguished block and f is constant on
     each block it meets.
     """
-    if partition.objects != f.objects:
+    objects = partition.objects
+    if f.objects is not objects and f.objects != objects:
         raise ValidationError("partition and labeling over different object sets")
-    where = _block_index_cached(partition)
-    a_block = where[partition.objects.distinguished]
+    where = partition._where
+    position = objects._position
     taken = {}
     for x, y in f.entries:
-        i = where[x]
-        if i == a_block:
+        i = where[position[x] + 1]
+        if i == 0 or taken.setdefault(i, y) != y:
             return False
-        if i in taken:
-            if taken[i] != y:
-                return False
-        else:
-            taken[i] = y
     return True
+
+
+def label_codes(labelings):
+    """Labelings over one context as a small signed int array, one row each
+    and one column per object: the label's index in Y, or -1 if unmeasured."""
+    labelings = list(labelings)
+    if not labelings:
+        return np.zeros((0, 0), dtype=np.int8)
+    first = labelings[0]
+    dtype = np.min_scalar_type(-max(len(first.labels.values), 1))
+    codes = np.full((len(labelings), len(first.objects.elements)), -1, dtype=dtype)
+    for r, f in enumerate(labelings):
+        _same_context(first, f)
+        for x, y in f.entries:
+            codes[r, f.objects._position[x]] = f.labels._index[y]
+    return codes
+
+
+def ideal_members(partition, codes):
+    """Batched `ideal_contains`: a boolean mask over the rows of `label_codes`.
+
+    `codes` must be `label_codes` over `partition.objects`; only their width
+    is checked. A row is a member when it measures nothing in the absorber
+    block and its largest and least measured codes agree on every other block.
+    """
+    codes = np.asarray(codes)
+    if not len(codes):
+        return np.zeros(0, dtype=bool)
+    position = partition.objects._position
+    if codes.dtype.kind != "i" or codes.shape[1:] != (len(position) - 1,):
+        raise ValidationError("expected signed integer label codes, one column per object")
+    # unmeasured entries must not lower a block's least measured code
+    lifted = np.where(codes < 0, np.iinfo(codes.dtype).max, codes)
+    keep = np.ones(len(codes), dtype=bool)
+    for i, block in enumerate(partition.blocks):
+        cols = [position[x] for x in block if position[x] >= 0]
+        top = codes[:, cols].max(axis=1, initial=-1)
+        # block 0 is the absorber, where a member measures nothing
+        keep &= (top < 0) | (i > 0 and top == lifted[:, cols].min(axis=1))
+    return keep
 
 
 def common_refinement(p, q):

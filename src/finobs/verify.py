@@ -60,13 +60,13 @@ def _check_partition_roundtrip(seed):
             measurement.PartialLabeling(objects, labels, entries)
             for entries in all_partial_functions(elements, labels.values)
         ]
+        codes = measurement.label_codes(labelings)
         for blocks in set_partitions(objects.universe()):
             partition = measurement.PartitionPlus(
                 objects, tuple(tuple(b) for b in blocks)
             )
-            members = [
-                f for f in labelings if measurement.ideal_contains(partition, f)
-            ]
+            mask = measurement.ideal_members(partition, codes)
+            members = [labelings[i] for i in np.flatnonzero(mask)]
             back = measurement.partition_of_family(objects, labels, members)
             total += 1
             if back != partition:

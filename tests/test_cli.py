@@ -152,6 +152,28 @@ def test_seed_env_overrides_flag(workdir):
     assert "FINOBS_SEED" in bad.stderr
 
 
+def test_negative_seed_is_rejected_before_any_check():
+    for done in (
+        run_cli("verify", "--suite", "finitary", "--seed", "-1"),
+        run_cli("verify", "--suite", "finitary", env_extra={"FINOBS_SEED": "-1"}),
+        run_cli("uncertainty", "--dim", "5", "--alphas", "0,2", "--seed", "-1"),
+    ):
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert done.stderr.startswith("error: seed must be a non-negative integer")
+
+
+def test_concat_rejects_empty_matrices(workdir):
+    _, write = workdir
+    empty = write("empty.json", "[]")
+    one = write("one.json", "[[[1, 0]]]")
+    for a, b in ((empty, empty), (empty, one)):
+        done = run_cli("concat", "--a", a, "--b", b)
+        assert done.returncode == 1
+        assert done.stderr.startswith("error:")
+        assert "Traceback" not in done.stderr
+
+
 def test_socks_support_and_flip(workdir):
     _, write = workdir
     vector = write("v.json", '{"coeffs": [[1, 0], [0, 0], [2, 0]]}')

@@ -1,5 +1,6 @@
 """Tests for partial labelings, orders, and partition codes."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,13 +21,16 @@ from finobs.measurement import (
     common_coarsening,
     common_refinement,
     ideal_contains,
+    ideal_members,
     is_observable,
+    label_codes,
     le,
     partition_of_family,
     pref_le,
     pushforward_partition,
     scale_to_partition,
 )
+from finobs.serial import dumps_value
 
 X3 = ObjectSet(("x", "y", "z"), "a")
 Y2 = LabelSet((0, 1), ordered=True)
@@ -51,6 +55,25 @@ def test_labeling_validation():
         lab({"w": 0})
     with pytest.raises(ValidationError):
         lab({"x": 7})
+
+
+def test_labeling_rejects_the_absorber_and_unknown_objects():
+    # the position map also holds the distinguished element, which is
+    # still no object of X
+    with pytest.raises(ValidationError, match="outside the object set"):
+        lab({"a": 0})
+    with pytest.raises(ValidationError, match="outside the object set"):
+        lab({"x": 0, "w": 1})
+    with pytest.raises(ValidationError, match="labeled twice"):
+        PartialLabeling(X3, Y2, [("y", 0), ("y", 7)])
+
+
+def test_sort_key_orders_the_universe_and_rejects_strangers():
+    assert [X3.sort_key(x) for x in X3.universe()] == [-1, 0, 1, 2]
+    with pytest.raises(ValidationError, match="unknown object"):
+        X3.sort_key("w")
+    with pytest.raises(ValidationError, match="unknown object"):
+        X3.sort_key(["x"])
 
 
 def test_labeling_entries_sorted_by_object():
@@ -125,6 +148,26 @@ def test_partition_canonical_block_order():
     assert p.distinguished_index() == 0
 
 
+def test_partition_equality_ignores_block_order():
+    p = PartitionPlus(X3, (("z",), ("y", "x"), ("a",)))
+    q = PartitionPlus(X3, (("a",), ("z",), ("x", "y")))
+    assert p == q and hash(p) == hash(q)
+    assert p.block_index() == q.block_index() == {"a": 0, "x": 1, "y": 1, "z": 2}
+    assert p != PartitionPlus(X3, (("a",), ("x",), ("y", "z")))
+    text = '{\n  "distinguished": "a",\n  "blocks": [["a"], ["x", "y"], ["z"]]\n}\n'
+    assert dumps_value("partition", p) == dumps_value("partition", q) == text
+
+
+def test_large_partition_index():
+    objects = ObjectSet(tuple(f"x{i}" for i in range(300)), "a")
+    p = PartitionPlus(objects, (("a",),) + tuple((x,) for x in objects.elements))
+    assert p.block_index()["x299"] == 300
+    labels = LabelSet((0, 1))
+    assert ideal_contains(p, PartialLabeling(objects, labels, {"x0": 0, "x299": 1}))
+    merged = PartitionPlus(objects, (("a",), objects.elements))
+    assert not ideal_contains(merged, PartialLabeling(objects, labels, {"x0": 0, "x299": 1}))
+
+
 def test_partition_must_cover_without_overlap():
     with pytest.raises(ValidationError):
         PartitionPlus(X3, (("a", "x"), ("y",)))
@@ -185,6 +228,46 @@ def test_roundtrip_exhaustive_three_objects():
         p = PartitionPlus(X3, tuple(tuple(b) for b in blocks))
         members = [f for f in labelings if ideal_contains(p, f)]
         assert partition_of_family(X3, labels, members) == p
+
+
+def test_label_codes_mark_unmeasured_objects():
+    codes = label_codes([lab({}), lab({"z": 1, "x": 0})])
+    assert codes.tolist() == [[-1, -1, -1], [0, -1, 1]]
+    assert label_codes([]).shape == (0, 0)
+    # more labels than int8 holds: the codes widen, membership still works
+    wide = LabelSet(tuple(range(300)))
+    codes = label_codes([PartialLabeling(X3, wide, {"x": 299, "y": 299})])
+    assert codes.tolist() == [[299, 299, -1]]
+    p = PartitionPlus(X3, (("a", "z"), ("x", "y")))
+    assert ideal_members(p, codes).tolist() == [True]
+    other = ObjectSet(("x", "y"), "a")
+    with pytest.raises(ValidationError):
+        label_codes([lab({}), PartialLabeling(other, Y2, {})])
+
+
+def test_ideal_members_agrees_with_ideal_contains():
+    for nx in range(5):
+        objects = ObjectSet(tuple(f"x{i + 1}" for i in range(nx)), "a")
+        labels = LabelSet(tuple(range(max(nx, 1))))
+        labelings = [
+            PartialLabeling(objects, labels, d)
+            for d in all_partial_functions(objects.elements, labels.values)
+        ]
+        codes = label_codes(labelings)
+        assert codes.shape == (len(labelings), nx)
+        for p in all_partitions(objects):
+            mask = ideal_members(p, codes)
+            assert mask.dtype == bool
+            assert mask.tolist() == [ideal_contains(p, f) for f in labelings]
+            assert ideal_members(p, codes[:0]).shape == (0,)
+
+
+def test_ideal_members_rejects_malformed_codes():
+    p = PartitionPlus(X3, (("a", "z"), ("x", "y")))
+    with pytest.raises(ValidationError):
+        ideal_members(p, np.zeros((2, 2), dtype=int))
+    with pytest.raises(ValidationError):
+        ideal_members(p, np.zeros((2, 3)))
 
 
 def all_partitions(objects):
