@@ -79,7 +79,7 @@ def _cmd_spec(args):
 
 def _cmd_evolve(args):
     system = _load_observable(args.hamiltonian)
-    psi = serial.loads_value("state", _read_text(args.state))
+    psi = serial.load_value("state", args.state)
     out = dynamics.evolve(system, psi, args.time)
     _emit(serial.dumps_value("state", out), args.output)
     return 0
@@ -223,11 +223,6 @@ def _cmd_verify(args):
     results = verify.run_suite(args.suite, seed)
     _emit(verify.render_report(results, args.suite, seed), args.output)
     return 0 if all(r.passed for r in results) else 2
-
-
-def _read_text(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
 
 
 def _build_parser():

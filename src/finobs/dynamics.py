@@ -9,31 +9,27 @@ all reduce to spectral bookkeeping on dense matrices.
 import numpy as np
 import scipy.linalg
 
-from . import finitary
+from . import finitary, numeric
 from .errors import OutsideDomain, ToleranceError, ValidationError
 from .finitary import EigenSystem, check_hermitian
-
-TOL_STATE = 1e-9
-TOL_DENSITY = 1e-9
-TOL_PSD = 1e-10
-TOL_UNITARY = 1e-8
 
 
 def check_state(psi):
     psi = np.asarray(psi, dtype=complex)
     if psi.ndim != 1:
         raise ValidationError("state must be a vector")
-    if abs(np.linalg.norm(psi) - 1.0) > TOL_STATE:
+    if not (abs(np.linalg.norm(psi) - 1.0) <= numeric.STATE):
         raise ValidationError(f"state norm {np.linalg.norm(psi):.6f} is not 1")
     return psi
 
 
 def check_density(rho):
     rho = check_hermitian(rho)
-    if abs(np.trace(rho).real - 1.0) > TOL_DENSITY or abs(np.trace(rho).imag) > TOL_DENSITY:
-        raise ValidationError(f"density trace {np.trace(rho):.6f} is not 1")
+    trace = np.trace(rho)
+    if not (abs(trace.real - 1.0) <= numeric.TRACE and abs(trace.imag) <= numeric.TRACE):
+        raise ValidationError(f"density trace {trace:.6f} is not 1")
     smallest = np.min(np.linalg.eigvalsh(rho))
-    if smallest < -TOL_PSD:
+    if not (smallest >= -numeric.PSD):
         raise ValidationError(f"density has negative eigenvalue {smallest:.3e}")
     return rho
 
@@ -42,7 +38,7 @@ def check_unitary(u):
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {u.shape}")
-    if np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) > TOL_UNITARY:
+    if not (np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) <= numeric.UNITARY):
         raise ValidationError("matrix is not unitary within tolerance")
     return u
 
@@ -55,7 +51,7 @@ def evolve(system, psi0, t):
     """
     psi0 = check_state(psi0)
     coeff, resid = finitary._expand(system, psi0)
-    if resid > finitary.TOL_DOM * np.linalg.norm(psi0):
+    if resid > numeric.DOMAIN * np.linalg.norm(psi0):
         raise OutsideDomain(resid)
     return (coeff * np.exp(-1j * system.values * float(t))) @ system.vectors
 
@@ -70,16 +66,11 @@ def propagator(system, t):
 
 def _spectral_projectors(system):
     """Pairs (value, projector) grouped over near-degenerate clusters."""
-    td = finitary.tol_dedup(system.norm())
-    out = []
-    start = 0
-    values = system.values
-    for i in range(1, len(values) + 1):
-        if i == len(values) or values[i] - values[i - 1] > td:
-            rows = system.vectors[start:i]
-            out.append((float(np.mean(values[start:i])), rows.T @ rows.conj()))
-            start = i
-    return out
+    values, vectors = system.values, system.vectors
+    return [
+        (float(np.mean(values[start:stop])), vectors[start:stop].T @ vectors[start:stop].conj())
+        for start, stop in numeric.clusters(values, finitary.tol_dedup(system.norm()))
+    ]
 
 
 def expectation(func, system, rho):
@@ -142,7 +133,7 @@ def concatenate(a, b):
     c = (z * theta) @ z.conj().T
     c = (c + c.conj().T) / 2.0
     check = np.max(np.abs(_exp_minus_i(c) - r))
-    if check > 1e-8:
+    if check > numeric.CONCAT:
         raise ToleranceError(f"concatenation residual {check:.3e} out of tolerance")
     return c
 
@@ -162,7 +153,7 @@ def variance(operator, w):
     return float(np.vdot(sw, sw).real - mean * mean)
 
 
-def subspace_intersection(basis1, basis2, tol=1e-9):
+def subspace_intersection(basis1, basis2, tol=numeric.ANGLE):
     """Orthonormal basis of the intersection of two orthonormal spans.
 
     Directions whose principal correlation falls within `tol` of 1 are
@@ -172,12 +163,9 @@ def subspace_intersection(basis1, basis2, tol=1e-9):
     q2 = np.atleast_2d(np.asarray(basis2, dtype=complex))
     for q in (q1, q2):
         gram = q @ q.conj().T
-        if np.max(np.abs(gram - np.eye(q.shape[0]))) > finitary.TOL_ORTH:
+        if not (np.max(np.abs(gram - np.eye(q.shape[0]))) <= numeric.ORTH):
             raise ValidationError("input basis is not orthonormal")
-    overlap = q1.conj() @ q2.T
-    u, s, vh = np.linalg.svd(overlap)
-    shared = int(np.sum(s >= 1.0 - tol))
-    return u[:, :shared].T @ q1
+    return numeric.intersect_rows(q1, q2, tol)
 
 
 def complementarity_pair(dim, alphas, rotation_seed=42):
@@ -215,7 +203,7 @@ def complementarity_pair(dim, alphas, rotation_seed=42):
     t_sys = finitary.from_eigenpairs(list(zip(alphas, t_rows)), dim)
 
     shared = subspace_intersection(s_sys.vectors, t_sys.vectors)
-    if len(shared) != 1 or abs(abs(shared[0][0]) - 1.0) > 1e-8:
+    if len(shared) != 1 or abs(abs(shared[0][0]) - 1.0) > numeric.SHARED_RAY:
         raise ValidationError(
             "rotation seed produced a non-generic pair; domains share more than e0"
         )

@@ -13,11 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import numeric
 from .errors import Inconsistent, NotEquivariant, ValidationError
-
-TOL_SYM = 1e-9
-TOL_SPAN = 1e-9
-TOL_EQ = 1e-8
 
 
 @dataclass(frozen=True)
@@ -77,9 +74,9 @@ class FHOperator:
             )
         tail = complex(self.tail)
         if self.symmetric:
-            if np.max(np.abs(block - block.conj().T), initial=0.0) > TOL_SYM:
+            if not (np.max(np.abs(block - block.conj().T), initial=0.0) <= numeric.HERMITIAN):
                 raise ValidationError("symmetric-flagged block is not Hermitian")
-            if abs(tail.imag) > 1e-12 * (1.0 + abs(tail)):
+            if not (abs(tail.imag) <= numeric.REAL * (1.0 + abs(tail))):
                 raise ValidationError("symmetric-flagged tail must be real")
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "block", block)
@@ -121,7 +118,7 @@ def canonicalize(op, tol=0.0):
     return FHOperator(support, block, op.tail, op.symmetric)
 
 
-def zero_sum_compatible(op, tol=1e-12):
+def zero_sum_compatible(op, tol=numeric.ZERO_SUM):
     """Does the operator preserve vanishing coordinate sums?
 
     Holds exactly when every column of the block sums to the tail
@@ -154,7 +151,7 @@ def fh_to_matrix(op, atoms):
     return out
 
 
-def decompose_equivariant(matrix, atoms, tol=1e-10):
+def decompose_equivariant(matrix, atoms, tol=numeric.EQUIVARIANT):
     """Recover finite-block form from a concrete truncation.
 
     Finds the smallest support such that the matrix commutes with every
@@ -223,12 +220,12 @@ def decompose_equivariant(matrix, atoms, tol=1e-10):
     rows = [keep[i] for i in order]
     block = matrix[np.ix_(rows, rows)]
     symmetric = bool(
-        np.max(np.abs(matrix - matrix.conj().T), initial=0.0) <= TOL_SYM
+        np.max(np.abs(matrix - matrix.conj().T), initial=0.0) <= numeric.HERMITIAN
     )
     return canonicalize(FHOperator(support, block, tail, symmetric), tol=tol)
 
 
-def represent_functional(samples, window, tol=1e-9):
+def represent_functional(samples, window, tol=numeric.PROBE):
     """Recover (support, weights) of a zero-sum functional from probes.
 
     `samples` maps ordered atom pairs (a, b) to the functional applied
@@ -253,23 +250,11 @@ def represent_functional(samples, window, tol=1e-9):
 
     # the zero class outside the support shows up as the largest cluster
     # of equal shifted values; cluster by transitive tolerance-closeness
-    parent = {a: a for a in window}
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for a in window:
-        for b in window:
-            if a < b and abs(shifted[a] - shifted[b]) <= tol:
-                parent[find(a)] = find(b)
-    groups = {}
-    for a in window:
-        groups.setdefault(find(a), []).append(a)
-    clusters = sorted(groups.values(), key=lambda c: c[0])
-    zero_class = max(clusters, key=len)
+    close = [
+        (a, b) for a in window for b in window
+        if a < b and abs(shifted[a] - shifted[b]) <= tol
+    ]
+    zero_class = max(numeric.components(window, close), key=len)
     if len(zero_class) < 2:
         raise Inconsistent("no candidate zero class of size two; enlarge the window")
     zero_class = sorted(zero_class)
@@ -317,15 +302,6 @@ class SymbolicSubspace:
     exclude: tuple = None
 
 
-def _orth_rows(rows, tol=TOL_SPAN):
-    rows = np.atleast_2d(np.asarray(rows, dtype=complex))
-    if rows.size == 0:
-        return np.zeros((0, rows.shape[-1] if rows.ndim == 2 else 0), dtype=complex)
-    u, s, vh = np.linalg.svd(rows, full_matrices=False)
-    rank = int(np.sum(s > tol * max(float(s[0]), 1.0))) if len(s) else 0
-    return vh[:rank]
-
-
 def _vectors_to_rows(vectors, window):
     index = {a: i for i, a in enumerate(window)}
     rows = np.zeros((len(vectors), len(window)), dtype=complex)
@@ -339,13 +315,13 @@ def _rows_to_vectors(rows, window):
     out = []
     for row in rows:
         entries = {
-            window[i]: row[i] for i in range(len(window)) if abs(row[i]) > 1e-14
+            window[i]: row[i] for i in range(len(window)) if abs(row[i]) > numeric.ZERO_COORD
         }
         out.append(FiniteSupportVector(entries))
     return tuple(out)
 
 
-def subspace(vectors, exclude=None, tol=TOL_SPAN):
+def subspace(vectors, exclude=None, tol=numeric.SPAN):
     """Canonical SymbolicSubspace from spanning vectors and an optional
     excluded atom window.
 
@@ -359,7 +335,7 @@ def subspace(vectors, exclude=None, tol=TOL_SPAN):
     ]
     if exclude is None:
         window = sorted({a for v in vectors for a in v.support()})
-        rows = _orth_rows(_vectors_to_rows(vectors, window)) if window else np.zeros((0, 0))
+        rows = numeric.orth_rows(_vectors_to_rows(vectors, window))
         return SymbolicSubspace(_rows_to_vectors(rows, window), None)
 
     window = sorted(str(a) for a in exclude)
@@ -368,11 +344,7 @@ def subspace(vectors, exclude=None, tol=TOL_SPAN):
     trimmed = []
     for v in vectors:
         trimmed.append({a: x for a, x in v.entries if a in set(window)})
-    rows = (
-        _orth_rows(_vectors_to_rows([FiniteSupportVector(t) for t in trimmed], window))
-        if window
-        else np.zeros((0, 0))
-    )
+    rows = numeric.orth_rows(_vectors_to_rows([FiniteSupportVector(t) for t in trimmed], window))
     # release excluded atoms already inside the span
     changed = True
     while changed and len(window):
@@ -386,14 +358,14 @@ def subspace(vectors, exclude=None, tol=TOL_SPAN):
                 unit[pos] = 1.0
                 deflated = rows - np.outer(rows[:, pos], unit)
                 keep = [i for i in range(len(window)) if i != pos]
-                rows = _orth_rows(deflated[:, keep]) if keep else np.zeros((0, 0))
+                rows = numeric.orth_rows(deflated[:, keep])
                 window = [window[i] for i in keep]
                 changed = True
                 break
     return SymbolicSubspace(_rows_to_vectors(rows, window), tuple(window))
 
 
-def checked_subspace(vectors, exclude, tol=TOL_SPAN):
+def checked_subspace(vectors, exclude, tol=numeric.SPAN):
     """SymbolicSubspace from data already in canonical shape.
 
     Validates without renormalizing, so stored coordinates survive a
@@ -436,7 +408,7 @@ def _full_rows(space, window):
         for r, a in enumerate(free):
             extra[r, index[a]] = 1.0
         rows = np.vstack([rows, extra]) if len(rows) else extra
-    return _orth_rows(rows)
+    return numeric.orth_rows(rows)
 
 
 def _joint_window(*spaces):
@@ -449,7 +421,7 @@ def _joint_window(*spaces):
     return sorted(atoms)
 
 
-def subspace_meet(s1, s2, tol=TOL_SPAN):
+def subspace_meet(s1, s2, tol=numeric.SPAN):
     """Lattice meet: the intersection, computed inside a shared window."""
     window = _joint_window(s1, s2)
     r1 = _full_rows(s1, window)
@@ -457,27 +429,24 @@ def subspace_meet(s1, s2, tol=TOL_SPAN):
     if r1.shape[0] == 0 or r2.shape[0] == 0:
         shared = np.zeros((0, len(window)), dtype=complex)
     else:
-        overlap = r1.conj() @ r2.T
-        u, s, vh = np.linalg.svd(overlap)
-        count = int(np.sum(s >= 1.0 - tol))
-        shared = u[:, :count].T @ r1
+        shared = numeric.intersect_rows(r1, r2, tol)
     vectors = _rows_to_vectors(shared, window)
     if s1.exclude is not None and s2.exclude is not None:
         return subspace(vectors, exclude=window, tol=tol)
     return subspace(vectors, exclude=None, tol=tol)
 
 
-def subspace_join(s1, s2, tol=TOL_SPAN):
+def subspace_join(s1, s2, tol=numeric.SPAN):
     """Lattice join: the closed sum, always inside the subspace class."""
     window = _joint_window(s1, s2)
     stacked = np.vstack([_full_rows(s1, window), _full_rows(s2, window)])
-    vectors = _rows_to_vectors(_orth_rows(stacked), window)
+    vectors = _rows_to_vectors(numeric.orth_rows(stacked), window)
     if s1.exclude is not None or s2.exclude is not None:
         return subspace(vectors, exclude=window, tol=tol)
     return subspace(vectors, exclude=None, tol=tol)
 
 
-def subspace_equal(s1, s2, tol=TOL_EQ):
+def subspace_equal(s1, s2, tol=numeric.SPAN_EQUAL):
     """Equality of canonical forms: same exclusion set, same finite span."""
     if (s1.exclude is None) != (s2.exclude is None):
         return False
@@ -493,7 +462,7 @@ def subspace_equal(s1, s2, tol=TOL_EQ):
     return bool(np.max(np.abs(p1 - p2), initial=0.0) <= tol)
 
 
-def is_orthogonal(s1, s2, tol=TOL_SPAN):
+def is_orthogonal(s1, s2, tol=numeric.SPAN):
     """Orthogonality in the ambient space, cofinite parts included.
 
     Two subspaces with cofinite components always share directions far

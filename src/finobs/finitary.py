@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import numeric
 from .errors import (
     NotCommeasurable,
     NotInvariant,
@@ -18,22 +19,18 @@ from .errors import (
     ValidationError,
 )
 
-TOL_SYM = 1e-9
-TOL_ORTH = 1e-9
-TOL_DOM = 1e-8
-
 
 def tol_eig(scale):
     """Residual tolerance for eigen equations at the given operator norm."""
-    return 1e-8 * (1.0 + float(scale))
+    return numeric.EIG * (1.0 + float(scale))
 
 
 def tol_comm(norm_a, norm_b):
-    return 1e-8 * (1.0 + float(norm_a) * float(norm_b))
+    return numeric.COMM * (1.0 + float(norm_a) * float(norm_b))
 
 
 def tol_dedup(value_scale):
-    return 1e-8 * (1.0 + float(value_scale))
+    return numeric.DEDUP * (1.0 + float(value_scale))
 
 
 def _vector_key(v):
@@ -48,20 +45,13 @@ def _canonical_order(values, vectors):
     order = np.argsort(values, kind="stable")
     values = values[order]
     vectors = vectors[order]
-    if len(values) > 1:
-        td = tol_dedup(np.max(np.abs(values)))
-        start = 0
-        pieces = []
-        for i in range(1, len(values) + 1):
-            if i == len(values) or values[i] - values[i - 1] > td:
-                group = list(range(start, i))
-                if len(group) > 1:
-                    group.sort(key=lambda j: _vector_key(vectors[j]))
-                pieces.extend(group)
-                start = i
-        values = values[pieces]
-        vectors = vectors[pieces]
-    return values, vectors
+    pieces = []
+    for start, stop in numeric.clusters(values, tol_dedup(np.max(np.abs(values)))):
+        group = list(range(start, stop))
+        if len(group) > 1:
+            group.sort(key=lambda j: _vector_key(vectors[j]))
+        pieces.extend(group)
+    return values[pieces], vectors[pieces]
 
 
 @dataclass(eq=False)
@@ -69,7 +59,7 @@ class EigenSystem:
     """Operator data: `vectors[i]` is the eigenvector for `values[i]`.
 
     Vectors are rows of shape (count, ambient_dim), pairwise orthonormal
-    within TOL_ORTH; values are real, stored ascending with a
+    within numeric.ORTH; values are real, stored ascending with a
     deterministic tie-break inside near-degenerate clusters.
     """
 
@@ -80,9 +70,8 @@ class EigenSystem:
     def __post_init__(self):
         if np.iscomplexobj(self.values):
             vals = np.asarray(self.values)
-            if np.max(np.abs(vals.imag), initial=0.0) > 1e-12 * (
-                1.0 + np.max(np.abs(vals), initial=0.0)
-            ):
+            scale = 1.0 + np.max(np.abs(vals), initial=0.0)
+            if not (np.max(np.abs(vals.imag), initial=0.0) <= numeric.REAL * scale):
                 raise ValidationError("eigenvalues must be real")
             vals = vals.real
         else:
@@ -98,7 +87,7 @@ class EigenSystem:
             raise ValidationError("more eigenpairs than ambient dimensions")
         if len(values):
             gram = vectors @ vectors.conj().T
-            if np.max(np.abs(gram - np.eye(len(values)))) > TOL_ORTH:
+            if not (np.max(np.abs(gram - np.eye(len(values)))) <= numeric.ORTH):
                 raise ValidationError("eigenvectors are not orthonormal")
             values, vectors = _canonical_order(values, vectors)
         object.__setattr__(self, "values", values)
@@ -121,15 +110,12 @@ class EigenSystem:
             return np.zeros((self.ambient_dim, self.ambient_dim), dtype=complex)
         return (self.vectors.T * self.values) @ self.vectors.conj()
 
-    def domain_projector(self):
-        return self.vectors.T @ self.vectors.conj()
 
-
-def check_hermitian(m, tol=TOL_SYM):
+def check_hermitian(m, tol=numeric.HERMITIAN):
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {m.shape}")
-    if np.max(np.abs(m - m.conj().T), initial=0.0) > tol:
+    if not (np.max(np.abs(m - m.conj().T), initial=0.0) <= tol):
         raise ValidationError("matrix is not Hermitian within tolerance")
     return m
 
@@ -162,7 +148,7 @@ def from_eigenpairs(pairs, ambient_dim):
     vectors = []
     for value, vector in pairs:
         value = complex(value)
-        if abs(value.imag) > 1e-12 * (1.0 + abs(value)):
+        if not (abs(value.imag) <= numeric.REAL * (1.0 + abs(value))):
             raise ValidationError(f"eigenvalue {value} is not real")
         values.append(value.real)
         vectors.append(np.asarray(vector, dtype=complex))
@@ -186,24 +172,24 @@ def apply(system, x):
     """Apply the operator; x must lie in the eigenvector span.
 
     Raises OutsideDomain with the residual when the projection onto the
-    domain misses x by more than TOL_DOM relative to |x|.
+    domain misses x by more than numeric.DOMAIN relative to |x|.
     """
     coeff, resid = _expand(system, x)
-    if resid > TOL_DOM * np.linalg.norm(x):
+    if resid > numeric.DOMAIN * np.linalg.norm(x):
         raise OutsideDomain(resid)
     return (coeff * system.values) @ system.vectors
 
 
 def in_domain(system, x):
     coeff, resid = _expand(system, x)
-    return resid <= TOL_DOM * max(np.linalg.norm(x), 1e-300)
+    return resid <= numeric.DOMAIN * max(np.linalg.norm(x), numeric.NORM_FLOOR)
 
 
 def orbit_span_dim(m, x, cap):
     """Dimension of span{x, Mx, M^2 x, ...}, capped at `cap` iterations.
 
-    Grown as an orthonormal family; a new direction below 1e-9 after
-    deflation ends the iteration.
+    Grown as an orthonormal family; a new direction below numeric.KRYLOV
+    after deflation ends the iteration.
     """
     if cap < 1:
         raise ValidationError("cap must be at least 1")
@@ -218,7 +204,7 @@ def orbit_span_dim(m, x, cap):
         for b in basis:
             v = v - np.vdot(b, v) * b
         nv = np.linalg.norm(v)
-        if nv <= 1e-9:
+        if nv <= numeric.KRYLOV:
             break
         basis.append(v / nv)
         v = m @ basis[-1]
@@ -229,15 +215,6 @@ def orbit_span_dim(m, x, cap):
     return len(basis)
 
 
-def _orthonormal_rows(rows, tol=1e-9):
-    rows = np.atleast_2d(np.asarray(rows, dtype=complex))
-    if rows.size == 0:
-        return rows.reshape(0, rows.shape[-1] if rows.ndim == 2 else 0)
-    u, s, vh = np.linalg.svd(rows, full_matrices=False)
-    rank = int(np.sum(s > tol * max(s[0], 1.0))) if len(s) else 0
-    return vh[:rank]
-
-
 def restrict(system, span_vectors):
     """Operator restricted to an invariant subspace of its domain.
 
@@ -245,7 +222,7 @@ def restrict(system, span_vectors):
     Raises NotInvariant (with the offending basis vector) when the
     operator maps the span outside itself.
     """
-    basis = _orthonormal_rows(span_vectors)
+    basis = numeric.orth_rows(span_vectors)
     if basis.shape[0] == 0:
         return EigenSystem(system.ambient_dim, np.zeros(0), np.zeros((0, system.ambient_dim)))
     if basis.shape[1] != system.ambient_dim:
@@ -254,7 +231,7 @@ def restrict(system, span_vectors):
     for q in basis:
         y = apply(system, q)
         inside = (basis.conj() @ y) @ basis
-        if np.linalg.norm(y - inside) > TOL_DOM * (1.0 + np.linalg.norm(y)):
+        if np.linalg.norm(y - inside) > numeric.DOMAIN * (1.0 + np.linalg.norm(y)):
             raise NotInvariant(q)
         images.append(y)
     compressed = basis.conj() @ np.array(images).T
@@ -271,25 +248,16 @@ def project(span_vectors, x):
     """
     rows = np.atleast_2d(np.asarray(span_vectors, dtype=complex))
     x = np.asarray(x, dtype=complex)
-    u, s, vh = np.linalg.svd(rows, full_matrices=False)
-    if (
-        rows.shape[0] > rows.shape[1]
-        or len(s) == 0
-        or s[-1] <= 1e-9 * max(s[0], 1.0)
-    ):
+    basis = numeric.orth_rows(rows)
+    if not len(basis) or len(basis) < len(rows):
         raise ValidationError("span vectors are linearly dependent")
-    basis = vh
     return (basis.conj() @ x) @ basis
 
 
 def _domains_match(a, b):
     if a.count != b.count:
         return False
-    for q in a.vectors:
-        inside = (b.vectors.conj() @ q) @ b.vectors
-        if np.linalg.norm(q - inside) > TOL_DOM:
-            return False
-    return True
+    return all(_expand(b, q)[1] <= numeric.DOMAIN for q in a.vectors)
 
 
 def commeasurable(systems):
@@ -339,11 +307,7 @@ def joint_eigensystem(systems):
             compressed = (compressed + compressed.conj().T) / 2.0
             w, u = np.linalg.eigh(compressed)
             rows = u.T @ block
-            start = 0
-            for i in range(1, len(w) + 1):
-                if i == len(w) or w[i] - w[i - 1] > td:
-                    refined.append(rows[start:i])
-                    start = i
+            refined.extend(rows[start:stop] for start, stop in numeric.clusters(w, td))
         blocks = refined
     mats = [s.matrix() for s in systems]
     out = []
@@ -398,17 +362,9 @@ class Polynomial:
 def deduplicate_values(values, td=None):
     """Cluster sorted eigenvalues by gap and return one mean per cluster."""
     values = np.sort(np.asarray(values, dtype=float))
-    if not len(values):
-        return []
     if td is None:
-        td = tol_dedup(np.max(np.abs(values)))
-    reps = []
-    start = 0
-    for i in range(1, len(values) + 1):
-        if i == len(values) or values[i] - values[i - 1] > td:
-            reps.append(float(np.mean(values[start:i])))
-            start = i
-    return reps
+        td = tol_dedup(np.max(np.abs(values), initial=0.0))
+    return [float(np.mean(values[start:stop])) for start, stop in numeric.clusters(values, td)]
 
 
 def minimal_polynomial(system):
@@ -426,21 +382,13 @@ def is_complete(system):
 def complete_extension(system, extra_pairs):
     """Extend by explicit orthonormal eigenpairs up to a full operator."""
     extra = list(extra_pairs)
-    total = system.count + len(extra)
-    if total != system.ambient_dim:
+    if system.count + len(extra) != system.ambient_dim:
         raise ValidationError(
             f"{system.count} existing plus {len(extra)} new pairs do not fill "
             f"dimension {system.ambient_dim}"
         )
-    values = list(system.values)
-    vectors = list(system.vectors)
-    for value, vector in extra:
-        value = complex(value)
-        if abs(value.imag) > 1e-12 * (1.0 + abs(value)):
-            raise ValidationError(f"eigenvalue {value} is not real")
-        values.append(value.real)
-        vectors.append(np.asarray(vector, dtype=complex))
-    return EigenSystem(system.ambient_dim, np.array(values), np.array(vectors))
+    pairs = list(zip(system.values, system.vectors)) + extra
+    return from_eigenpairs(pairs, system.ambient_dim)
 
 
 def is_extension(full_system, partial_system):
@@ -477,7 +425,7 @@ def joint_generator(systems):
     return generator, tables
 
 
-def table_function(table, tol=1e-6):
+def table_function(table, tol=numeric.TABLE_MATCH):
     """Callable looking a value up in a finite table of sample points."""
     points = sorted(table.items())
 

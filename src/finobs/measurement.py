@@ -13,6 +13,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 
+from . import numeric
 from .errors import (
     InsufficientLabels,
     NonIdealFamily,
@@ -111,20 +112,12 @@ class Scale:
     assignment: tuple
 
     def __post_init__(self):
-        raw = (
-            self.assignment.items()
-            if isinstance(self.assignment, dict)
-            else self.assignment
-        )
-        mapping = dict(raw)
+        mapping = dict(self.assignment)
         if set(mapping) != set(self.objects.elements):
             raise ValidationError("scale must label every object exactly once")
         if any(y not in self.labels.values for y in mapping.values()):
             raise ValidationError("scale uses a label outside the label set")
-        pairs = tuple(
-            (x, mapping[x])
-            for x in sorted(mapping, key=self.objects.sort_key)
-        )
+        pairs = tuple((x, mapping[x]) for x in self.objects.elements)
         object.__setattr__(self, "assignment", pairs)
 
     def as_dict(self):
@@ -359,27 +352,9 @@ def common_coarsening(p, q):
     """Join of two partition codes: transitive closure of block overlap."""
     if p.objects != q.objects:
         raise ValidationError("partitions over different object sets")
-    parent = {x: x for x in p.objects.universe()}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
-    for part in (p, q):
-        for block in part.blocks:
-            for x in block[1:]:
-                union(block[0], x)
-    groups = {}
-    for x in p.objects.universe():
-        groups.setdefault(find(x), []).append(x)
-    return PartitionPlus(p.objects, tuple(tuple(g) for g in groups.values()))
+    links = [(block[0], x) for part in (p, q) for block in part.blocks for x in block[1:]]
+    groups = numeric.components(p.objects.universe(), links)
+    return PartitionPlus(p.objects, tuple(tuple(g) for g in groups))
 
 
 def scale_to_partition(scale):

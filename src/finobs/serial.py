@@ -7,14 +7,15 @@ failures with a JSON-pointer path.
 """
 
 import json
+import math
 import sys
 
 import numpy as np
 
 from .errors import SchemaError, ValidationError
-from .fhlogic import FHOperator, FiniteSupportVector, SymbolicSubspace
-from .finitary import EigenSystem
-from .measurement import ObjectSet, PartitionPlus
+from .fhlogic import FHOperator, FiniteSupportVector, checked_subspace, subspace
+from .finitary import Polynomial, from_eigenpairs, table_function
+from .measurement import LabelSet, ObjectSet, PartialLabeling, PartitionPlus
 from .socks import SignedTensor, TruncatedFockVector
 
 
@@ -75,7 +76,13 @@ def _need(node, kind, ptr, what):
 def _as_number(node, ptr):
     if isinstance(node, bool) or not isinstance(node, (int, float)):
         raise SchemaError(ptr, "expected a number")
-    return float(node)
+    try:
+        value = float(node)
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise SchemaError(ptr, "expected a finite number")
+    return value
 
 
 def _as_complex(node, ptr):
@@ -155,8 +162,6 @@ def load_eigensystem(node, ptr=""):
                 f"{ptr}/pairs/{i}/vector", f"expected {dim} components, got {len(vector)}"
             )
         pairs.append((value, vector))
-    from .finitary import from_eigenpairs
-
     return from_eigenpairs(pairs, dim)
 
 
@@ -305,8 +310,6 @@ def load_subspace(node, ptr=""):
             _need(a, str, f"{ptr}/cofinite_excluding/{i}", "a string")
             for i, a in enumerate(excl_node)
         ]
-    from .fhlogic import checked_subspace, subspace
-
     # canonical input keeps its exact coordinates; anything else is
     # renormalized into canonical form
     direct = checked_subspace(vectors, exclude)
@@ -333,14 +336,7 @@ def load_function(node, ptr=""):
     if "poly" in node:
         coeffs = _need(node["poly"], list, f"{ptr}/poly", "a coefficient list")
         values = [_as_number(c, f"{ptr}/poly/{i}") for i, c in enumerate(coeffs)]
-
-        def poly(x):
-            out = 0.0
-            for c in reversed(values):
-                out = out * x + c
-            return out
-
-        return poly
+        return Polynomial(tuple(values))
     if "points" in node:
         pts = _need(node["points"], list, f"{ptr}/points", "a list of [x, fx] pairs")
         table = {}
@@ -351,16 +347,12 @@ def load_function(node, ptr=""):
             x = _as_number(pair[0], f"{ptr}/points/{i}/0")
             fx = _as_number(pair[1], f"{ptr}/points/{i}/1")
             table[x] = fx
-        from .finitary import table_function
-
         return table_function(table)
     raise SchemaError(ptr, "expected 'poly' or 'points'")
 
 
 def load_labeling_family(node, ptr=""):
     """Inputs for the measure tool: object set, labels, labelings."""
-    from .measurement import LabelSet, PartialLabeling
-
     node = _as_object(node, ptr, ("objects", "distinguished", "labels", "labelings"))
     objects_node = _need(node["objects"], list, f"{ptr}/objects", "a list of ids")
     elements = tuple(
@@ -381,6 +373,8 @@ def load_labeling_family(node, ptr=""):
     for i, entry in enumerate(labelings_node):
         entry = _as_object(entry, f"{ptr}/labelings/{i}", ("entries",))
         entries = _need(entry["entries"], dict, f"{ptr}/labelings/{i}/entries", "an object")
+        for x, y in entries.items():
+            _need(y, str, f"{ptr}/labelings/{i}/entries/{x}", "a string")
         try:
             family.append(PartialLabeling(objects, label_set, dict(entries)))
         except ValidationError as exc:

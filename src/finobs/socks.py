@@ -13,11 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import numeric
 from .errors import ValidationError
 
 MAX_PAIRS_TENSOR = 16
 MAX_PAIRS_FOCK = 32
-SUPPORT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -120,7 +120,7 @@ class SignedTensor:
             )
         signs = 1.0 - 2.0 * _parities(len(table))
         mismatch = np.max(np.abs(table - signs * table[0]), initial=0.0)
-        if mismatch > 1e-12 * max(np.max(np.abs(table), initial=0.0), 1.0):
+        if not (mismatch <= numeric.ALTERNATION * max(np.max(np.abs(table), initial=0.0), 1.0)):
             raise ValidationError("table entries violate the sign alternation law")
         object.__setattr__(self, "table", table)
 
@@ -237,7 +237,7 @@ def flip(action, v):
     return TruncatedFockVector(signs * v.coeffs)
 
 
-def least_support(v, tol=SUPPORT_TOL):
+def least_support(v, tol=numeric.SUPPORT):
     """Pair indices a flip can see: 0..N*-1 for the last live component N*.
 
     The zero vector (and anything supported on u_0 alone) has empty

@@ -152,6 +152,25 @@ def test_seed_env_overrides_flag(workdir):
     assert "FINOBS_SEED" in bad.stderr
 
 
+def test_measure_rejects_a_non_string_label(workdir):
+    _, write = workdir
+    family = write(
+        "family.json",
+        json.dumps(
+            {
+                "objects": ["x"],
+                "distinguished": "a",
+                "labels": ["u"],
+                "labelings": [{"entries": {"x": ["u"]}}],
+            }
+        ),
+    )
+    done = run_cli("measure", "--family", family)
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr == "error: /labelings/0/entries/x: expected a string\n"
+
+
 def test_negative_seed_is_rejected_before_any_check():
     for done in (
         run_cli("verify", "--suite", "finitary", "--seed", "-1"),

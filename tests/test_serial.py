@@ -115,6 +115,44 @@ def test_schema_errors_carry_json_pointers(kind, text, pointer):
     assert info.value.pointer == pointer
 
 
+NON_FINITE_CASES = [
+    ("operator", "[[[1, 0], [0, 0]], [[0, 0], [X, 0]]]", "/1/1/0"),
+    ("eigensystem", '{"ambient_dim": 1, "pairs": [{"value": X, "vector": [[1, 0]]}]}',
+     "/pairs/0/value"),
+    ("eigensystem", '{"ambient_dim": 1, "pairs": [{"value": 1, "vector": [[1, X]]}]}',
+     "/pairs/0/vector/0/1"),
+    ("state", '{"vector": [[1, 0], [X, 0]]}', "/vector/1/0"),
+    ("density", '{"matrix": [[[X, 0]]]}', "/matrix/0/0/0"),
+    ("fockvector", '{"coeffs": [[1, 0], [0, X]]}', "/coeffs/1/1"),
+    ("fhoperator", '{"support": ["p"], "F": [[[1, 0]]], "tail": [X, 0]}', "/tail/0"),
+    ("subspace", '{"finite": [{"p": [X, 0]}], "cofinite_excluding": null}', "/finite/0/p/0"),
+    ("tensor", '{"N": 1, "table": [[1, 0], [-1, X]]}', "/table/1/1"),
+]
+
+
+@pytest.mark.parametrize(
+    "token", ["NaN", "Infinity", "-Infinity", "1" + "0" * 400], ids=["nan", "inf", "-inf", "1e400"]
+)
+@pytest.mark.parametrize(
+    "kind,template,pointer", NON_FINITE_CASES, ids=[c[2] for c in NON_FINITE_CASES]
+)
+def test_non_finite_input_numbers_are_rejected_with_pointers(kind, template, pointer, token):
+    with pytest.raises(SchemaError) as info:
+        loads_value(kind, template.replace("X", token))
+    assert info.value.pointer == pointer
+    assert str(info.value) == f"{pointer}: expected a finite number"
+
+
+def test_load_function_rejects_non_finite_coefficients():
+    for node, pointer in (
+        ({"poly": [1.0, float("nan")]}, "/poly/1"),
+        ({"points": [[0.0, float("inf")]]}, "/points/0/1"),
+    ):
+        with pytest.raises(SchemaError) as info:
+            load_function(node)
+        assert info.value.pointer == pointer
+
+
 def test_unknown_kind():
     with pytest.raises(ValidationError):
         loads_value("widget", "{}")
@@ -150,6 +188,10 @@ def test_load_labeling_family():
     with pytest.raises(SchemaError) as info:
         load_labeling_family(node)
     assert info.value.pointer == "/labelings/1"
+    node["labelings"][1] = {"entries": {"x": "lo", "y": ["hi"]}}
+    with pytest.raises(SchemaError) as info:
+        load_labeling_family(node)
+    assert info.value.pointer == "/labelings/1/entries/y"
 
 
 def test_subspace_loader_keeps_canonical_floats():
