@@ -15,6 +15,10 @@ import numpy as np
 from . import dynamics, fhlogic, finitary, measurement, serial, socks, verify
 from .errors import FinobsError, SchemaError, ToleranceError, ValidationError
 
+# `uncertainty` builds dense dim x dim matrices; a larger --dim is refused
+# before anything is allocated
+MAX_UNCERTAINTY_DIM = 1024
+
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad usage; route through the
@@ -29,7 +33,7 @@ def _read_json(path):
         text = fh.read()
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit
         raise SchemaError("", f"invalid JSON in {path}: {exc}") from None
 
 
@@ -111,6 +115,8 @@ def _cmd_compress(args):
 
 
 def _cmd_uncertainty(args):
+    if args.dim > MAX_UNCERTAINTY_DIM:
+        raise ValidationError(f"--dim {args.dim} exceeds the cap of {MAX_UNCERTAINTY_DIM}")
     try:
         alphas = tuple(float(x) for x in args.alphas.split(","))
     except ValueError:

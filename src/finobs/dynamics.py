@@ -7,7 +7,6 @@ all reduce to spectral bookkeeping on dense matrices.
 """
 
 import numpy as np
-import scipy.linalg
 
 from . import finitary, numeric
 from .errors import OutsideDomain, ToleranceError, ValidationError
@@ -51,7 +50,7 @@ def evolve(system, psi0, t):
     """
     psi0 = check_state(psi0)
     coeff, resid = finitary._expand(system, psi0)
-    if resid > numeric.DOMAIN * np.linalg.norm(psi0):
+    if not (resid <= numeric.DOMAIN * np.linalg.norm(psi0)):
         raise OutsideDomain(resid)
     return (coeff * np.exp(-1j * system.values * float(t))) @ system.vectors
 
@@ -124,6 +123,9 @@ def concatenate(a, b):
         )
     if not a.size:
         raise ValidationError("cannot concatenate empty operators")
+    # scipy is imported here so that CLI calls that never concatenate skip its load time
+    import scipy.linalg
+
     r = _exp_minus_i(a) @ _exp_minus_i(b)
     t, z = scipy.linalg.schur(r, output="complex")
     diag = np.diag(t)
@@ -133,7 +135,7 @@ def concatenate(a, b):
     c = (z * theta) @ z.conj().T
     c = (c + c.conj().T) / 2.0
     check = np.max(np.abs(_exp_minus_i(c) - r))
-    if check > numeric.CONCAT:
+    if not (check <= numeric.CONCAT):
         raise ToleranceError(f"concatenation residual {check:.3e} out of tolerance")
     return c
 

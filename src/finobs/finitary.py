@@ -59,8 +59,8 @@ class EigenSystem:
     """Operator data: `vectors[i]` is the eigenvector for `values[i]`.
 
     Vectors are rows of shape (count, ambient_dim), pairwise orthonormal
-    within numeric.ORTH; values are real, stored ascending with a
-    deterministic tie-break inside near-degenerate clusters.
+    within numeric.ORTH; values are real and finite, stored ascending
+    with a deterministic tie-break inside near-degenerate clusters.
     """
 
     ambient_dim: int
@@ -85,6 +85,8 @@ class EigenSystem:
             )
         if len(values) > self.ambient_dim:
             raise ValidationError("more eigenpairs than ambient dimensions")
+        if not np.all(np.isfinite(values)):
+            raise ValidationError("eigenvalues must be finite")
         if len(values):
             gram = vectors @ vectors.conj().T
             if not (np.max(np.abs(gram - np.eye(len(values)))) <= numeric.ORTH):
@@ -133,7 +135,7 @@ def diagonalize(m):
         np.linalg.norm(m @ system.vectors.T - system.vectors.T * system.values, axis=0),
         initial=0.0,
     )
-    if resid > tol_eig(system.norm()):
+    if not (resid <= tol_eig(system.norm())):
         raise ToleranceError(f"eigen residual {resid:.3e} out of tolerance")
     return system
 
@@ -141,13 +143,15 @@ def diagonalize(m):
 def from_eigenpairs(pairs, ambient_dim):
     """Build an EigenSystem from (value, vector) pairs.
 
-    Rejects non-real eigenvalues and non-orthonormal vector families;
-    duplicated vectors fail the orthonormality check.
+    Rejects non-finite or non-real eigenvalues and non-orthonormal
+    vector families; duplicated vectors fail the orthonormality check.
     """
     values = []
     vectors = []
     for value, vector in pairs:
         value = complex(value)
+        if not np.isfinite(value):
+            raise ValidationError(f"eigenvalue {value} is not finite")
         if not (abs(value.imag) <= numeric.REAL * (1.0 + abs(value))):
             raise ValidationError(f"eigenvalue {value} is not real")
         values.append(value.real)
@@ -175,7 +179,7 @@ def apply(system, x):
     domain misses x by more than numeric.DOMAIN relative to |x|.
     """
     coeff, resid = _expand(system, x)
-    if resid > numeric.DOMAIN * np.linalg.norm(x):
+    if not (resid <= numeric.DOMAIN * np.linalg.norm(x)):
         raise OutsideDomain(resid)
     return (coeff * system.values) @ system.vectors
 

@@ -414,7 +414,7 @@ def loads_value(kind, text):
         raise ValidationError(f"unknown kind {kind!r}")
     try:
         node = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit
         raise SchemaError("", f"invalid JSON: {exc}") from None
     return _LOADERS[kind](node)
 

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
-import scipy.linalg
 
 from . import dynamics, fhlogic, finitary, measurement, serial, socks
 from .enumeration import all_functions, all_partial_functions, nondecreasing_functions, set_partitions
@@ -209,6 +208,9 @@ def _check_functional_calculus(seed):
 
 
 def _check_evolution(seed):
+    # scipy is imported here so that suites without the expm oracles skip its load time
+    import scipy.linalg
+
     rng = _rng(seed, 6)
     worst_norm = 0.0
     worst_group = 0.0
@@ -237,6 +239,9 @@ def _check_evolution(seed):
 
 
 def _check_concatenation(seed):
+    # scipy is imported here so that suites without the expm oracles skip its load time
+    import scipy.linalg
+
     rng = _rng(seed, 7)
     worst_prod = 0.0
     worst_herm = 0.0

@@ -193,6 +193,33 @@ def test_concat_rejects_empty_matrices(workdir):
         assert "Traceback" not in done.stderr
 
 
+def test_integer_over_the_digit_limit_exits_1(workdir):
+    # json.loads refuses integer literals over 4,300 digits with a plain ValueError
+    _, write = workdir
+    huge = "1" * 5000
+    ham = write("h.json", "[[[1, 0]]]")
+    cases = (
+        ("spec", "--operator", write("big_op.json", f"[[[{huge}, 0]]]")),
+        ("evolve", "--hamiltonian", ham, "--time", "1.0",
+         "--state", write("big_psi.json", f'{{"vector": [[{huge}, 0]]}}')),
+    )
+    for argv in cases:
+        done = run_cli(*argv)
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert done.stderr.startswith("error:")
+        assert "Traceback" not in done.stderr
+
+
+def test_uncertainty_dim_over_the_cap_is_rejected():
+    # both values are refused before complementarity_pair allocates anything
+    for dim in ("1025", "1000000000000"):
+        done = run_cli("uncertainty", "--dim", dim, "--alphas", "0,2")
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert done.stderr == f"error: --dim {dim} exceeds the cap of 1024\n"
+
+
 def test_socks_support_and_flip(workdir):
     _, write = workdir
     vector = write("v.json", '{"coeffs": [[1, 0], [0, 0], [2, 0]]}')

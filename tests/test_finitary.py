@@ -75,6 +75,14 @@ def test_eigensystem_rejects_bad_vector_families():
         EigenSystem(1, np.array([1.0, 2.0]), np.eye(2))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+def test_non_finite_eigenvalues_are_rejected(value):
+    with pytest.raises(ValidationError, match="finite"):
+        EigenSystem(1, [value], [[1.0]])
+    with pytest.raises(ValidationError, match="finite"):
+        from_eigenpairs([(value, [1.0])], 1)
+
+
 def test_from_eigenpairs_rejects_complex_values():
     with pytest.raises(ValidationError):
         from_eigenpairs([(1.0 + 0.1j, E0)], 3)

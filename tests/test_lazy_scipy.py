@@ -1,0 +1,88 @@
+"""scipy stays off the import path: only concatenation loads it.
+
+Importing scipy.linalg costs most of a small CLI call, and only
+`dynamics.concatenate` (the Schur step) and the two expm oracles of
+`verify` use it.  A fresh interpreter runs the other subcommands in
+process and reports whether scipy has been loaded after each one.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import scipy.linalg
+
+from finobs.dynamics import concatenate
+from finobs.serial import dumps_canonical, dumps_value, loads_value
+
+ROOT = Path(__file__).resolve().parent.parent
+
+SCRIPT = """
+import contextlib, io, json, sys
+import finobs, finobs.cli
+
+def loaded():
+    return "scipy" in sys.modules
+
+def run(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = finobs.cli.main(list(argv))
+    return [code, out.getvalue(), loaded()]
+
+ham, state, family, a, b = sys.argv[1:]
+steps = {"import": [0, "", loaded()]}
+steps["spec"] = run("spec", "--operator", ham)
+steps["measure"] = run("measure", "--family", family)
+steps["evolve"] = run("evolve", "--hamiltonian", ham, "--state", state, "--time", "0.5")
+steps["verify"] = run("verify", "--suite", "serialization", "--seed", "3")
+steps["concat"] = run("concat", "--a", a, "--b", b)
+print(json.dumps(steps))
+"""
+
+
+def test_scipy_is_loaded_only_by_concat(tmp_path):
+    a = np.array([[2.0, 1.0 - 0.5j], [1.0 + 0.5j, -1.0]])
+    b = np.array([[0.5, 0.25j], [-0.25j, 3.0]])
+    family = {
+        "objects": ["x", "y", "z"],
+        "distinguished": "a",
+        "labels": ["0", "1"],
+        "labelings": [{"entries": {"x": "0", "y": "1"}}],
+    }
+    files = {
+        "h.json": dumps_value("operator", a),
+        "psi.json": dumps_value("state", np.array([0.6, 0.8j])),
+        "family.json": dumps_canonical(family) + "\n",
+        "a.json": dumps_value("operator", a),
+        "b.json": dumps_value("operator", b),
+    }
+    paths = []
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+        paths.append(str(tmp_path / name))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", SCRIPT, *paths], capture_output=True, text=True, env=env,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    steps = json.loads(done.stdout.splitlines()[-1])
+
+    for name in ("import", "spec", "measure", "evolve", "verify"):
+        code, _, scipy_loaded = steps[name]
+        assert code == 0, f"{name}: {done.stderr}"
+        assert not scipy_loaded, f"scipy was loaded by {name}"
+
+    code, out, scipy_loaded = steps["concat"]
+    assert code == 0 and scipy_loaded
+    assert out == dumps_value("operator", concatenate(a, b))
+    c = loads_value("operator", out)
+    target = scipy.linalg.expm(-1j * a) @ scipy.linalg.expm(-1j * b)
+    assert np.max(np.abs(scipy.linalg.expm(-1j * c) - target)) < 1e-8

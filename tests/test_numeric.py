@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from finobs import numeric
+from finobs import dynamics, finitary, numeric
 from finobs.dynamics import check_density, check_state, check_unitary, subspace_intersection
-from finobs.errors import ValidationError
+from finobs.errors import OutsideDomain, ToleranceError, ValidationError
 from finobs.fhlogic import FHOperator, represent_functional
 from finobs.finitary import EigenSystem, check_hermitian, from_eigenpairs
 from finobs.socks import SignedTensor
@@ -93,3 +93,43 @@ def test_intersect_rows_keeps_only_shared_directions():
 def test_validators_fail_closed_on_nan(build):
     with pytest.raises(ValidationError):
         build()
+
+
+# The postconditions compare a residual with a tolerance; a NaN residual
+# must raise like an oversized one.  Where the input validators already
+# stop NaN, the residual is forced to NaN by patching its source.
+
+
+def test_diagonalize_fails_closed_on_a_nan_residual(monkeypatch):
+    exact = np.linalg.norm
+    monkeypatch.setattr(np.linalg, "norm", lambda *a, **k: exact(*a, **k) * NAN)
+    with pytest.raises(ToleranceError):
+        finitary.diagonalize(np.diag([1.0, 2.0]))
+
+
+def test_apply_fails_closed_on_a_nan_residual():
+    system = finitary.diagonalize(np.diag([1.0, 2.0]))
+    with pytest.raises(OutsideDomain):
+        finitary.apply(system, [NAN, 0.0])
+
+
+def test_evolve_fails_closed_on_a_nan_residual(monkeypatch):
+    system = finitary.diagonalize(np.diag([1.0, 2.0]))
+    monkeypatch.setattr(finitary, "_expand", lambda s, x: (np.zeros(2, dtype=complex), NAN))
+    with pytest.raises(OutsideDomain):
+        dynamics.evolve(system, [1.0, 0.0], 1.0)
+
+
+def test_concatenate_fails_closed_on_a_nan_residual(monkeypatch):
+    exact = dynamics._exp_minus_i
+    calls = []
+
+    def nan_on_the_check(h):
+        # the first two calls build the target product, the third checks C
+        calls.append(h)
+        return exact(h) if len(calls) <= 2 else exact(h) * NAN
+
+    monkeypatch.setattr(dynamics, "_exp_minus_i", nan_on_the_check)
+    with pytest.raises(ToleranceError):
+        dynamics.concatenate(np.eye(2), np.eye(2))
+    assert len(calls) == 3
