@@ -29,8 +29,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    text = serial.read_text(path)
     try:
         return json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit

@@ -9,6 +9,7 @@ carries a two-valued dimension state that no density operator of the
 class can reproduce.
 """
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,8 @@ class FiniteSupportVector:
             if not isinstance(atom, str):
                 raise ValidationError("atom ids must be strings")
             value = complex(value)
+            if not cmath.isfinite(value):
+                raise ValidationError(f"atom {atom!r} has a non-finite coordinate")
             if atom in cleaned:
                 raise ValidationError(f"atom {atom!r} listed twice")
             if value != 0:

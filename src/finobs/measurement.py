@@ -9,7 +9,7 @@ All ideal-level operations below work on that partition code.
 """
 
 from dataclasses import dataclass, field
-from itertools import combinations, permutations
+from itertools import permutations
 
 import numpy as np
 
@@ -80,11 +80,17 @@ class PartialLabeling:
     objects: ObjectSet
     labels: LabelSet
     entries: tuple
+    # objects i, j numbered as in objects.elements, n of them: bit i*n + j is
+    # set when i and j are both measured and carry different labels, and
+    # bit i*n + i when i is measured; partition_of_family and le use only this
+    _separation: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         raw = self.entries.items() if isinstance(self.entries, dict) else self.entries
         position = self.objects._position
-        slots = [None] * len(self.objects.elements)  # one per object, in sort order
+        n = len(self.objects.elements)
+        slots = [None] * n  # one per object, in sort order
+        fibers = {}  # one bit per object carrying each label
         for x, y in raw:
             i = position.get(x, -1)  # -1 also for the distinguished element
             if i < 0:
@@ -94,7 +100,14 @@ class PartialLabeling:
             if y not in self.labels._index:
                 raise ValidationError(f"label {y!r} outside the label set")
             slots[i] = (x, y)
+            fibers[y] = fibers.get(y, 0) | 1 << i
         object.__setattr__(self, "entries", tuple(p for p in slots if p is not None))
+        measured = sum(fibers.values())
+        separation = 0
+        for x, y in self.entries:
+            i = position[x]
+            separation |= (measured & ~fibers[y] | 1 << i) << i * n
+        object.__setattr__(self, "_separation", separation)
 
     def as_dict(self):
         return dict(self.entries)
@@ -185,23 +198,12 @@ def _same_context(f, g):
 def le(f, g):
     """Information order: f <= g iff f is a relabeling of g on dom f.
 
-    Equivalent test on finite data: dom f inside dom g, and g never
-    separates two objects that f separates.
+    Equivalent test on finite data: dom f inside dom g, and g separates
+    every pair of objects that f separates; that is, the separation bits
+    of f (the domain on the diagonal) are a subset of those of g.
     """
     _same_context(f, g)
-    fd = f.as_dict()
-    gd = g.as_dict()
-    if any(x not in gd for x in fd):
-        return False
-    seen = {}
-    for x, fy in fd.items():
-        gy = gd[x]
-        if gy in seen:
-            if seen[gy] != fy:
-                return False
-        else:
-            seen[gy] = fy
-    return True
+    return not f._separation & ~g._separation
 
 
 def pref_le(f, g):
@@ -233,26 +235,21 @@ def partition_of_family(objects, labels, family):
     transitive, and InsufficientLabels when the family would need more
     labels than Y offers to stay directed.
     """
-    distinct = set()
+    n = len(objects.elements)
+    sep = 0
     for f in family:
         if _outside(f, objects, labels):
             raise ValidationError("family member over a different object or label set")
-        distinct.add(f.entries)
-    dom = sorted(
-        {x for entries in distinct for x, _ in entries}, key=objects.sort_key
-    )
-    separated = set()
-    for entries in distinct:
-        separated.update(
-            (x, y) for (x, fx), (y, fy) in combinations(entries, 2) if fx != fy
-        )
-    separated |= {(y, x) for x, y in separated}
+        sep |= f._separation
+    names = objects.elements
+    dom = [i for i in range(n) if sep >> i * (n + 1) & 1]
 
-    def related(x, y):
-        return (x, y) not in separated
+    def related(i, j):
+        return i == j or not sep >> i * n + j & 1
 
-    for x, y, z in permutations(dom, 3):
-        if related(x, y) and related(y, z) and not related(x, z):
+    for i, j, k in permutations(dom, 3):
+        if related(i, j) and related(j, k) and not related(i, k):
+            x, y, z = names[i], names[j], names[k]
             raise NonIdealFamily(
                 f"family separates {x!r} from {z!r} but links both to {y!r}",
                 witness=(x, y, z),
@@ -260,19 +257,19 @@ def partition_of_family(objects, labels, family):
 
     blocks = []
     placed = set()
-    for x in dom:
-        if x in placed:
+    for i in dom:
+        if i in placed:
             continue
-        block = [y for y in dom if related(x, y)]
+        block = [j for j in dom if related(i, j)]
         placed.update(block)
-        blocks.append(block)
+        blocks.append(tuple(names[j] for j in block))
     if len(blocks) > len(labels.values):
         raise InsufficientLabels(
             f"{len(blocks)} blocks need at least {len(blocks)} labels, "
             f"have {len(labels.values)}"
         )
     absorber = [objects.distinguished] + [
-        x for x in objects.elements if x not in set(dom)
+        names[i] for i in range(n) if not sep >> i * (n + 1) & 1
     ]
     return PartitionPlus(objects, tuple(blocks) + (tuple(absorber),))
 

@@ -419,9 +419,16 @@ def loads_value(kind, text):
     return _LOADERS[kind](node)
 
 
-def load_value(kind, path):
+def read_text(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return loads_value(kind, fh.read())
+        try:
+            return fh.read()
+        except UnicodeDecodeError:
+            raise ValidationError(f"{path} is not valid UTF-8") from None
+
+
+def load_value(kind, path):
+    return loads_value(kind, read_text(path))
 
 
 def dumps_value(kind, value):

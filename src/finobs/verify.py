@@ -122,20 +122,19 @@ def _check_pushforward(seed):
             values = tuple(f"y{i + 1}" for i in range(ny))
             labels = measurement.LabelSet(values)
             relabelings = list(all_functions(values, values))
+            # each generator h(k(s(x))) is a total labeling; build each once
+            totals = {
+                tuple(t.values()): measurement.PartialLabeling(objects, labels, t)
+                for t in all_functions(elements, values)
+            }
             for assignment in all_functions(elements, values):
                 scale = measurement.Scale(objects, labels, assignment)
+                composed = [[k[assignment[x]] for x in elements] for k in relabelings]
                 for h in relabelings:
                     # members of the generated ideal only restrict or
                     # relabel these generators, so they separate nothing
                     # more and the coded partition is the same
-                    generators = [
-                        measurement.PartialLabeling(
-                            objects,
-                            labels,
-                            {x: h[k[assignment[x]]] for x in elements},
-                        )
-                        for k in relabelings
-                    ]
+                    generators = [totals[tuple(map(h.get, ks))] for ks in composed]
                     expected = measurement.partition_of_family(
                         objects, labels, generators
                     )

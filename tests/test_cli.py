@@ -1,5 +1,7 @@
-"""End-to-end checks of the command line front end via subprocesses."""
+"""End-to-end checks of the command line front end, mostly via subprocesses."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,7 +9,10 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from finobs import cli
 from finobs.serial import dumps_value, loads_value
 
 
@@ -307,3 +312,91 @@ def test_missing_input_file_exits_1(workdir):
     done = run_cli("spec", "--operator", str(tmp / "absent.json"))
     assert done.returncode == 1
     assert "error:" in done.stderr
+
+
+def test_non_utf8_input_exits_1(workdir):
+    tmp, write = workdir
+    bad = tmp / "bad.json"
+    bad.write_bytes(b"\xff\xfe\x00")
+    ham = write("h.json", "[[[1, 0]]]")
+    for argv in (
+        ("spec", "--operator", str(bad)),
+        ("evolve", "--hamiltonian", ham, "--state", str(bad), "--time", "1.0"),
+    ):
+        done = run_cli(*argv)
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert done.stderr == f"error: {bad} is not valid UTF-8\n"
+
+
+_VALID_FAMILY = {
+    "objects": ["x", "y", "z"],
+    "distinguished": "a",
+    "labels": ["0", "1"],
+    "labelings": [{"entries": {"x": "0", "y": "1"}}, {"entries": {"z": "1"}}],
+}
+
+_JUNK = st.one_of(
+    # well-formed entries, which may still make the family non-ideal
+    st.dictionaries(st.sampled_from(["x", "y", "z"]), st.sampled_from(["0", "1"]), max_size=3),
+    st.recursive(
+        st.one_of(
+            st.none(),
+            st.booleans(),
+            st.integers(-2, 2),
+            st.floats(),  # NaN and the infinities included
+            st.sampled_from(["x", "y", "z", "a", "w", "0", "1", "2", ""]),
+        ),
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=3),
+            st.dictionaries(
+                st.sampled_from(["x", "y", "w", "entries", "objects"]), inner, max_size=3
+            ),
+        ),
+        max_leaves=6,
+    ),
+)
+
+
+def _replace(doc, path, value):
+    if not path:
+        return value
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+@st.composite
+def family_files(draw):
+    """A measure input with one node replaced by junk, and maybe stray bytes."""
+    doc = json.loads(json.dumps(_VALID_FAMILY))
+    path = draw(st.sampled_from([
+        (), ("objects",), ("objects", 0), ("distinguished",), ("labels",), ("labels", 1),
+        ("labelings",), ("labelings", 0), ("labelings", 0, "entries"),
+        ("labelings", 0, "entries", "x"), ("labelings", 1, "entries", "w"),
+    ]))
+    data = json.dumps(_replace(doc, path, draw(_JUNK))).encode()
+    if draw(st.integers(0, 3)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.binary(min_size=1, max_size=3)) + data[at:]
+    return data
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=family_files())
+def test_measure_fuzz_never_tracebacks(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzzed-family.json"
+    path.write_bytes(data)
+    out, err = io.StringIO(), io.StringIO()
+    # in process, a traceback would be an exception escaping main
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["measure", "--family", str(path)])
+    # measure checks no numerical tolerance, so exit 2 would be a fault too
+    assert code in (0, 1), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert err.getvalue() == "" and json.loads(out.getvalue())["blocks"]
+    else:
+        assert out.getvalue() == "" and err.getvalue().startswith("error: ")

@@ -44,6 +44,27 @@ def test_finite_support_vector_canonical_form():
         FiniteSupportVector({3: 1.0})
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(1.0, np.nan)])
+def test_finite_support_vector_rejects_non_finite_coordinates(value):
+    with pytest.raises(ValidationError, match="non-finite coordinate"):
+        FiniteSupportVector({"q0": value})
+
+
+def test_non_finite_vector_is_not_orthogonal_to_anything():
+    # a NaN overlap would pass the `> tol` test and report orthogonality
+    with pytest.raises(ValidationError, match="non-finite coordinate"):
+        is_orthogonal(
+            SymbolicSubspace((FiniteSupportVector({"q0": np.nan}),), None),
+            subspace([vec(q0=1.0)]),
+        )
+
+
+def test_subspace_of_a_non_finite_vector_fails_validation():
+    # refused before the SVD, which would raise a bare LinAlgError
+    with pytest.raises(ValidationError, match="non-finite coordinate"):
+        subspace([{"q0": np.nan}])
+
+
 def test_fh_operator_validation():
     with pytest.raises(ValidationError):
         FHOperator(("q", "p"), np.eye(2), 0.0)

@@ -1,5 +1,7 @@
 """Tests for partial labelings, orders, and partition codes."""
 
+from itertools import permutations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -82,6 +84,15 @@ def test_labeling_entries_sorted_by_object():
     assert f.domain() == ("x", "z")
 
 
+def test_labeling_identity_ignores_the_separation_bits():
+    f = lab({"z": 1, "x": 0})
+    g = PartialLabeling(X3, Y2, (("z", 1), ("x", 0)))
+    assert f == g and hash(f) == hash(g)
+    assert "_separation" not in repr(f)
+    # three objects: x and z measured (bits 0 and 8), and separated (bits 2 and 6)
+    assert f._separation == g._separation == 1 | 1 << 2 | 1 << 6 | 1 << 8
+
+
 def test_le_basics():
     empty = lab({})
     f = lab({"x": 0, "y": 0})
@@ -133,6 +144,31 @@ def test_le_is_a_quasiorder(f, g, h):
     assert le(f, f)
     if le(f, g) and le(g, h):
         assert le(f, h)
+
+
+@st.composite
+def labeling_pairs(draw):
+    n = draw(st.integers(0, 6))
+    objects = ObjectSet(tuple(f"o{i}" for i in range(n)), "a")
+    labels = LabelSet((0, 1, 2))
+
+    def one():
+        values = draw(st.lists(st.sampled_from([None, 0, 1, 2]), min_size=n, max_size=n))
+        entries = {x: y for x, y in zip(objects.elements, values) if y is not None}
+        return PartialLabeling(objects, labels, entries)
+
+    return one(), one()
+
+
+@settings(max_examples=300, deadline=None)
+@given(labeling_pairs())
+def test_le_matches_its_dict_definition(pair):
+    f, g = pair
+    fd, gd = f.as_dict(), g.as_dict()
+    expected = set(fd) <= set(gd) and all(
+        gd[x] != gd[y] for x, y in permutations(fd, 2) if fd[x] != fd[y]
+    )
+    assert le(f, g) == expected
 
 
 @settings(max_examples=200, deadline=None)
@@ -195,8 +231,8 @@ def test_non_ideal_family_has_witness():
     ]
     with pytest.raises(NonIdealFamily) as info:
         partition_of_family(X3, Y2, family)
-    x, y, z = info.value.witness
-    assert {x, y, z} == {"x", "y", "z"}
+    assert info.value.witness == ("x", "y", "z")
+    assert str(info.value) == "family separates 'x' from 'z' but links both to 'y'"
 
 
 def test_family_needs_enough_labels():
