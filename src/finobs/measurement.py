@@ -80,16 +80,14 @@ class PartialLabeling:
     objects: ObjectSet
     labels: LabelSet
     entries: tuple
-    # objects i, j numbered as in objects.elements, n of them: bit i*n + j is
-    # set when i and j are both measured and carry different labels, and
-    # bit i*n + i when i is measured; partition_of_family and le use only this
-    _separation: int = field(init=False, repr=False, compare=False)
+    # one n-bit mask per label used, bit i set when objects.elements[i]
+    # carries it; le and partition_of_family read only these
+    _fibers: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         raw = self.entries.items() if isinstance(self.entries, dict) else self.entries
         position = self.objects._position
-        n = len(self.objects.elements)
-        slots = [None] * n  # one per object, in sort order
+        slots = [None] * len(self.objects.elements)  # one per object, in sort order
         fibers = {}  # one bit per object carrying each label
         for x, y in raw:
             i = position.get(x, -1)  # -1 also for the distinguished element
@@ -102,12 +100,7 @@ class PartialLabeling:
             slots[i] = (x, y)
             fibers[y] = fibers.get(y, 0) | 1 << i
         object.__setattr__(self, "entries", tuple(p for p in slots if p is not None))
-        measured = sum(fibers.values())
-        separation = 0
-        for x, y in self.entries:
-            i = position[x]
-            separation |= (measured & ~fibers[y] | 1 << i) << i * n
-        object.__setattr__(self, "_separation", separation)
+        object.__setattr__(self, "_fibers", tuple(fibers.values()))
 
     def as_dict(self):
         return dict(self.entries)
@@ -199,11 +192,15 @@ def le(f, g):
     """Information order: f <= g iff f is a relabeling of g on dom f.
 
     Equivalent test on finite data: dom f inside dom g, and g separates
-    every pair of objects that f separates; that is, the separation bits
-    of f (the domain on the diagonal) are a subset of those of g.
+    every pair of objects that f separates; that is, each label fiber of
+    g meets dom f inside a single label fiber of f.
     """
     _same_context(f, g)
-    return not f._separation & ~g._separation
+    inside = sum(f._fibers)
+    if inside & ~sum(g._fibers):
+        return False
+    parts = [fiber & inside for fiber in g._fibers]
+    return not any(part & other and part & ~other for part in parts for other in f._fibers)
 
 
 def pref_le(f, g):
@@ -235,17 +232,25 @@ def partition_of_family(objects, labels, family):
     transitive, and InsufficientLabels when the family would need more
     labels than Y offers to stay directed.
     """
-    n = len(objects.elements)
-    sep = 0
+    kinds = set()  # the label fibers of the members, each tuple once
     for f in family:
         if _outside(f, objects, labels):
             raise ValidationError("family member over a different object or label set")
-        sep |= f._separation
+        kinds.add(f._fibers)
+    apart = {}  # measured object number -> objects some member separates from it
+    for fibers in kinds:
+        measured = sum(fibers)
+        for fiber in fibers:
+            others = measured & ~fiber
+            while fiber:
+                i = (fiber & -fiber).bit_length() - 1
+                apart[i] = apart.get(i, 0) | others
+                fiber &= fiber - 1
     names = objects.elements
-    dom = [i for i in range(n) if sep >> i * (n + 1) & 1]
+    dom = sorted(apart)
 
     def related(i, j):
-        return i == j or not sep >> i * n + j & 1
+        return not apart[i] >> j & 1
 
     for i, j, k in permutations(dom, 3):
         if related(i, j) and related(j, k) and not related(i, k):
@@ -268,9 +273,7 @@ def partition_of_family(objects, labels, family):
             f"{len(blocks)} blocks need at least {len(blocks)} labels, "
             f"have {len(labels.values)}"
         )
-    absorber = [objects.distinguished] + [
-        names[i] for i in range(n) if not sep >> i * (n + 1) & 1
-    ]
+    absorber = [objects.distinguished] + [x for i, x in enumerate(names) if i not in apart]
     return PartitionPlus(objects, tuple(blocks) + (tuple(absorber),))
 
 

@@ -1,5 +1,6 @@
 """Tests for partial labelings, orders, and partition codes."""
 
+import time
 from itertools import permutations
 
 import numpy as np
@@ -84,13 +85,11 @@ def test_labeling_entries_sorted_by_object():
     assert f.domain() == ("x", "z")
 
 
-def test_labeling_identity_ignores_the_separation_bits():
+def test_labeling_identity_ignores_the_stored_masks():
     f = lab({"z": 1, "x": 0})
     g = PartialLabeling(X3, Y2, (("z", 1), ("x", 0)))
     assert f == g and hash(f) == hash(g)
-    assert "_separation" not in repr(f)
-    # three objects: x and z measured (bits 0 and 8), and separated (bits 2 and 6)
-    assert f._separation == g._separation == 1 | 1 << 2 | 1 << 6 | 1 << 8
+    assert "_fibers" not in repr(f)
 
 
 def test_le_basics():
@@ -202,6 +201,20 @@ def test_large_partition_index():
     assert ideal_contains(p, PartialLabeling(objects, labels, {"x0": 0, "x299": 1}))
     merged = PartitionPlus(objects, (("a",), objects.elements))
     assert not ideal_contains(merged, PartialLabeling(objects, labels, {"x0": 0, "x299": 1}))
+
+
+def test_sparse_labelings_over_many_objects_stay_cheap():
+    # the stored masks grow with the object count, not with its square
+    objects = ObjectSet(tuple(f"x{i}" for i in range(20000)), "a")
+    labels = LabelSet(("0", "1"))
+    start = time.perf_counter()
+    family = [PartialLabeling(objects, labels, {"x19999": "0"}) for _ in range(10)]
+    family.append(PartialLabeling(objects, labels, {"x0": "0", "x19999": "1"}))
+    assert le(family[0], family[-1]) and not le(family[-1], family[0])
+    p = partition_of_family(objects, labels, family)
+    assert time.perf_counter() - start < 5.0
+    assert p.blocks[1:] == (("x0",), ("x19999",))
+    assert len(p.blocks[0]) == 19999
 
 
 def test_partition_must_cover_without_overlap():
