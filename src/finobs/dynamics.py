@@ -17,7 +17,7 @@ def check_state(psi):
     psi = np.asarray(psi, dtype=complex)
     if psi.ndim != 1:
         raise ValidationError("state must be a vector")
-    if not (abs(np.linalg.norm(psi) - 1.0) <= numeric.STATE):
+    if not numeric.within(abs(np.linalg.norm(psi) - 1.0), numeric.STATE):
         raise ValidationError(f"state norm {np.linalg.norm(psi):.6f} is not 1")
     return psi
 
@@ -25,10 +25,10 @@ def check_state(psi):
 def check_density(rho):
     rho = check_hermitian(rho)
     trace = np.trace(rho)
-    if not (abs(trace.real - 1.0) <= numeric.TRACE and abs(trace.imag) <= numeric.TRACE):
+    if not numeric.within(np.array([trace.real - 1.0, trace.imag]), numeric.TRACE):
         raise ValidationError(f"density trace {trace:.6f} is not 1")
     smallest = np.min(np.linalg.eigvalsh(rho))
-    if not (smallest >= -numeric.PSD):
+    if not numeric.within(-smallest, numeric.PSD):
         raise ValidationError(f"density has negative eigenvalue {smallest:.3e}")
     return rho
 
@@ -37,7 +37,7 @@ def check_unitary(u):
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {u.shape}")
-    if not (np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) <= numeric.UNITARY):
+    if not numeric.within(u.conj().T @ u - np.eye(u.shape[0]), numeric.UNITARY):
         raise ValidationError("matrix is not unitary within tolerance")
     return u
 
@@ -49,8 +49,8 @@ def evolve(system, psi0, t):
     eigencomponent is rotated by exp(-i value t).
     """
     psi0 = check_state(psi0)
-    coeff, resid = finitary._expand(system, psi0)
-    if not (resid <= numeric.DOMAIN * np.linalg.norm(psi0)):
+    coeff, resid = finitary._expand(system.vectors, psi0)
+    if not numeric.within(resid, numeric.DOMAIN * np.linalg.norm(psi0)):
         raise OutsideDomain(resid)
     return (coeff * np.exp(-1j * system.values * float(t))) @ system.vectors
 
@@ -135,7 +135,7 @@ def concatenate(a, b):
     c = (z * theta) @ z.conj().T
     c = (c + c.conj().T) / 2.0
     check = np.max(np.abs(_exp_minus_i(c) - r))
-    if not (check <= numeric.CONCAT):
+    if not numeric.within(check, numeric.CONCAT):
         raise ToleranceError(f"concatenation residual {check:.3e} out of tolerance")
     return c
 
@@ -165,7 +165,7 @@ def subspace_intersection(basis1, basis2, tol=numeric.ANGLE):
     q2 = np.atleast_2d(np.asarray(basis2, dtype=complex))
     for q in (q1, q2):
         gram = q @ q.conj().T
-        if not (np.max(np.abs(gram - np.eye(q.shape[0]))) <= numeric.ORTH):
+        if not numeric.within(gram - np.eye(q.shape[0]), numeric.ORTH):
             raise ValidationError("input basis is not orthonormal")
     return numeric.intersect_rows(q1, q2, tol)
 
@@ -205,7 +205,7 @@ def complementarity_pair(dim, alphas, rotation_seed=42):
     t_sys = finitary.from_eigenpairs(list(zip(alphas, t_rows)), dim)
 
     shared = subspace_intersection(s_sys.vectors, t_sys.vectors)
-    if len(shared) != 1 or abs(abs(shared[0][0]) - 1.0) > numeric.SHARED_RAY:
+    if len(shared) != 1 or not numeric.within(abs(abs(shared[0][0]) - 1.0), numeric.SHARED_RAY):
         raise ValidationError(
             "rotation seed produced a non-generic pair; domains share more than e0"
         )

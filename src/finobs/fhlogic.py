@@ -11,6 +11,7 @@ class can reproduce.
 
 import cmath
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -76,10 +77,12 @@ class FHOperator:
                 f"block shape {block.shape} does not match support size {len(support)}"
             )
         tail = complex(self.tail)
+        if not (np.isfinite(block).all() and cmath.isfinite(tail)):
+            raise ValidationError("block and tail must be finite")
         if self.symmetric:
-            if not (np.max(np.abs(block - block.conj().T), initial=0.0) <= numeric.HERMITIAN):
+            if not numeric.within(block - block.conj().T, numeric.HERMITIAN):
                 raise ValidationError("symmetric-flagged block is not Hermitian")
-            if not (abs(tail.imag) <= numeric.REAL * (1.0 + abs(tail))):
+            if not numeric.within(abs(tail.imag), numeric.REAL * (1.0 + abs(tail))):
                 raise ValidationError("symmetric-flagged tail must be real")
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "block", block)
@@ -103,18 +106,14 @@ def fh_apply(op, v):
     return FiniteSupportVector(out)
 
 
-def _removable(block, tail, i, tol):
-    row_ok = all(abs(block[i, j]) <= tol for j in range(block.shape[0]) if j != i)
-    col_ok = all(abs(block[j, i]) <= tol for j in range(block.shape[0]) if j != i)
-    return row_ok and col_ok and abs(block[i, i] - tail) <= tol
-
-
 def canonicalize(op, tol=0.0):
     """Drop every support atom whose row and column just repeat the tail."""
+    # row and column i hold atom i's off-block entries and its diagonal minus the tail
+    resid = op.block - op.tail * np.eye(len(op.support))
     keep = [
         i
         for i in range(len(op.support))
-        if not _removable(op.block, op.tail, i, tol)
+        if not (numeric.within(resid[i], tol) and numeric.within(resid[:, i], tol))
     ]
     support = tuple(op.support[i] for i in keep)
     block = op.block[np.ix_(keep, keep)]
@@ -128,11 +127,9 @@ def zero_sum_compatible(op, tol=numeric.ZERO_SUM):
     scalar; probing with two-atom differences across the support
     boundary recovers the same criterion.
     """
-    if len(op.support) == 0:
-        return True
     sums = np.sum(op.block, axis=0)
     scale = max(1.0, abs(op.tail), float(np.max(np.abs(op.block), initial=0.0)))
-    return bool(np.max(np.abs(sums - op.tail)) <= tol * scale)
+    return numeric.within(sums - op.tail, tol * scale)
 
 
 def fh_to_matrix(op, atoms):
@@ -171,10 +168,12 @@ def decompose_equivariant(matrix, atoms, tol=numeric.EQUIVARIANT):
         raise ValidationError(f"matrix shape {matrix.shape} does not match {m} atoms")
     if len(set(atoms)) != m:
         raise ValidationError("atom window has repeats")
+    if not np.isfinite(matrix).all():
+        raise ValidationError("matrix entries must be finite")
 
     off = np.abs(matrix - np.diag(np.diag(matrix)))
     isolated = [
-        i for i in range(m) if max(np.max(off[i, :]), np.max(off[:, i])) <= tol
+        i for i in range(m) if numeric.within(max(np.max(off[i, :]), np.max(off[:, i])), tol)
     ]
     if len(isolated) < 2:
         raise NotEquivariant("no scalar tail pattern of size two or more")
@@ -182,13 +181,8 @@ def decompose_equivariant(matrix, atoms, tol=numeric.EQUIVARIANT):
     # cluster the isolated diagonal values, largest cluster wins
     diag = np.real_if_close(np.diag(matrix))
     ordered = sorted(isolated, key=lambda i: (diag[i].real, diag[i].imag, i))
-    clusters = []
-    for i in ordered:
-        if clusters and abs(np.diag(matrix)[i] - np.diag(matrix)[clusters[-1][-1]]) <= tol:
-            clusters[-1].append(i)
-        else:
-            clusters.append([i])
-    outside = max(clusters, key=len)
+    runs = numeric.clusters(np.diag(matrix)[ordered], tol)
+    outside = max((ordered[start:stop] for start, stop in runs), key=len)
     if len(outside) < 2:
         raise NotEquivariant("no scalar tail pattern of size two or more")
     outside = sorted(outside)
@@ -196,23 +190,19 @@ def decompose_equivariant(matrix, atoms, tol=numeric.EQUIVARIANT):
     keep = [i for i in range(m) if i not in set(outside)]
 
     # re-verify: transpositions outside the block leave the matrix fixed
-    for u in outside:
-        for v in outside:
-            if u >= v:
-                continue
-            perm = list(range(m))
-            perm[u], perm[v] = perm[v], perm[u]
-            swapped = matrix[np.ix_(perm, perm)]
-            if np.max(np.abs(swapped - matrix)) > tol:
-                raise NotEquivariant(
-                    f"transposition of atoms {atoms[u]!r}, {atoms[v]!r} moves the matrix"
-                )
+    for u, v in combinations(outside, 2):
+        perm = list(range(m))
+        perm[u], perm[v] = perm[v], perm[u]
+        if not numeric.within(matrix[np.ix_(perm, perm)] - matrix, tol):
+            raise NotEquivariant(
+                f"transposition of atoms {atoms[u]!r}, {atoms[v]!r} moves the matrix"
+            )
     # re-verify: off-block structure is exactly the scalar tail
     for u in outside:
-        if abs(matrix[u, u] - tail) > tol:
+        if not numeric.within(abs(matrix[u, u] - tail), tol):
             raise NotEquivariant(f"atom {atoms[u]!r} breaks the scalar tail")
         for j in range(m):
-            if j != u and (abs(matrix[u, j]) > tol or abs(matrix[j, u]) > tol):
+            if j != u and not (numeric.within(off[u, j], tol) and numeric.within(off[j, u], tol)):
                 raise NotEquivariant(
                     f"atom {atoms[u]!r} couples to {atoms[j]!r} beyond tolerance"
                 )
@@ -222,9 +212,7 @@ def decompose_equivariant(matrix, atoms, tol=numeric.EQUIVARIANT):
     support = tuple(support_atoms[i] for i in order)
     rows = [keep[i] for i in order]
     block = matrix[np.ix_(rows, rows)]
-    symmetric = bool(
-        np.max(np.abs(matrix - matrix.conj().T), initial=0.0) <= numeric.HERMITIAN
-    )
+    symmetric = numeric.within(matrix - matrix.conj().T, numeric.HERMITIAN)
     return canonicalize(FHOperator(support, block, tail, symmetric), tol=tol)
 
 
@@ -237,6 +225,8 @@ def represent_functional(samples, window, tol=numeric.PROBE):
     f(e_a - e_b) = g(a) - g(b) with g zero off the support; atoms whose
     probes disagree beyond `tol` raise Inconsistent.
     """
+    if not all(cmath.isfinite(complex(v)) for v in samples.values()):
+        raise ValidationError("samples must be finite")
     window = sorted(window)
     if len(window) < 3:
         raise Inconsistent("window too small to isolate a zero class")
@@ -255,7 +245,7 @@ def represent_functional(samples, window, tol=numeric.PROBE):
     # of equal shifted values; cluster by transitive tolerance-closeness
     close = [
         (a, b) for a in window for b in window
-        if a < b and abs(shifted[a] - shifted[b]) <= tol
+        if a < b and numeric.within(abs(shifted[a] - shifted[b]), tol)
     ]
     zero_class = max(numeric.components(window, close), key=len)
     if len(zero_class) < 2:
@@ -268,11 +258,11 @@ def represent_functional(samples, window, tol=numeric.PROBE):
             continue
         values = [probe(a, z) for z in zero_class]
         spread = max(abs(v - values[0]) for v in values)
-        if spread > tol:
+        if not numeric.within(spread, tol):
             raise Inconsistent(
                 f"probe f(e_{a} - e_b) varies by {spread:.3e} over the zero class"
             )
-        if abs(values[0]) > tol:
+        if not numeric.within(abs(values[0]), tol):
             weights[a] = values[0]
 
     support = tuple(sorted(weights))
@@ -284,7 +274,7 @@ def represent_functional(samples, window, tol=numeric.PROBE):
             if (a, b) not in samples and (b, a) not in samples:
                 continue
             predicted = weights.get(a, 0.0) - weights.get(b, 0.0)
-            if abs(probe(a, b) - predicted) > 10 * tol:
+            if not numeric.within(abs(probe(a, b) - predicted), 10 * tol):
                 raise Inconsistent(
                     f"sample for ({a!r}, {b!r}) conflicts with the recovered weights"
                 )
@@ -315,13 +305,11 @@ def _vectors_to_rows(vectors, window):
 
 
 def _rows_to_vectors(rows, window):
-    out = []
-    for row in rows:
-        entries = {
-            window[i]: row[i] for i in range(len(window)) if abs(row[i]) > numeric.ZERO_COORD
-        }
-        out.append(FiniteSupportVector(entries))
-    return tuple(out)
+    masks = numeric.live(rows, numeric.ZERO_COORD).tolist()
+    return tuple(
+        FiniteSupportVector({a: x for a, x, keep in zip(window, row, mask) if keep})
+        for row, mask in zip(rows.tolist(), masks)
+    )
 
 
 def subspace(vectors, exclude=None, tol=numeric.SPAN):
@@ -389,10 +377,8 @@ def checked_subspace(vectors, exclude, tol=numeric.SPAN):
         if any(a not in allowed for v in vectors for a in v.support()):
             return None
     rows = _vectors_to_rows(list(vectors), window)
-    if len(vectors):
-        gram = rows @ rows.conj().T
-        if np.max(np.abs(gram - np.eye(len(vectors)))) > tol:
-            return None
+    if not numeric.within(rows @ rows.conj().T - np.eye(len(vectors)), tol):
+        return None
     if exclude is not None and len(vectors):
         weights = np.sum(np.abs(rows) ** 2, axis=0)
         if np.any(weights >= 1.0 - 10 * tol):
@@ -460,9 +446,7 @@ def subspace_equal(s1, s2, tol=numeric.SPAN_EQUAL):
     window = _joint_window(s1, s2)
     r1 = _vectors_to_rows(list(s1.finite), window)
     r2 = _vectors_to_rows(list(s2.finite), window)
-    p1 = r1.conj().T @ r1
-    p2 = r2.conj().T @ r2
-    return bool(np.max(np.abs(p1 - p2), initial=0.0) <= tol)
+    return numeric.within(r1.conj().T @ r1 - r2.conj().T @ r2, tol)
 
 
 def is_orthogonal(s1, s2, tol=numeric.SPAN):
@@ -477,7 +461,7 @@ def is_orthogonal(s1, s2, tol=numeric.SPAN):
     window = _joint_window(s1, s2)
     r1 = _vectors_to_rows(list(s1.finite), window)
     r2 = _vectors_to_rows(list(s2.finite), window)
-    if len(r1) and len(r2) and np.max(np.abs(r1.conj() @ r2.T)) > tol:
+    if not numeric.within(r1.conj() @ r2.T, tol):
         return False
     for finite_side, cofinite_side in ((s1, s2), (s2, s1)):
         if cofinite_side.exclude is None:

@@ -71,7 +71,7 @@ class EigenSystem:
         if np.iscomplexobj(self.values):
             vals = np.asarray(self.values)
             scale = 1.0 + np.max(np.abs(vals), initial=0.0)
-            if not (np.max(np.abs(vals.imag), initial=0.0) <= numeric.REAL * scale):
+            if not numeric.within(vals.imag, numeric.REAL * scale):
                 raise ValidationError("eigenvalues must be real")
             vals = vals.real
         else:
@@ -89,7 +89,7 @@ class EigenSystem:
             raise ValidationError("eigenvalues must be finite")
         if len(values):
             gram = vectors @ vectors.conj().T
-            if not (np.max(np.abs(gram - np.eye(len(values)))) <= numeric.ORTH):
+            if not numeric.within(gram - np.eye(len(values)), numeric.ORTH):
                 raise ValidationError("eigenvectors are not orthonormal")
             values, vectors = _canonical_order(values, vectors)
         object.__setattr__(self, "values", values)
@@ -117,7 +117,7 @@ def check_hermitian(m, tol=numeric.HERMITIAN):
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {m.shape}")
-    if not (np.max(np.abs(m - m.conj().T), initial=0.0) <= tol):
+    if not numeric.within(m - m.conj().T, tol):
         raise ValidationError("matrix is not Hermitian within tolerance")
     return m
 
@@ -131,11 +131,9 @@ def diagonalize(m):
     m = check_hermitian(m)
     w, v = np.linalg.eigh(m)
     system = EigenSystem(m.shape[0], w, v.T)
-    resid = np.max(
-        np.linalg.norm(m @ system.vectors.T - system.vectors.T * system.values, axis=0),
-        initial=0.0,
-    )
-    if not (resid <= tol_eig(system.norm())):
+    vectors = system.vectors.T
+    resid = np.max(np.linalg.norm(m @ vectors - vectors * system.values, axis=0), initial=0.0)
+    if not numeric.within(resid, tol_eig(system.norm())):
         raise ToleranceError(f"eigen residual {resid:.3e} out of tolerance")
     return system
 
@@ -152,7 +150,7 @@ def from_eigenpairs(pairs, ambient_dim):
         value = complex(value)
         if not np.isfinite(value):
             raise ValidationError(f"eigenvalue {value} is not finite")
-        if not (abs(value.imag) <= numeric.REAL * (1.0 + abs(value))):
+        if not numeric.within(abs(value.imag), numeric.REAL * (1.0 + abs(value))):
             raise ValidationError(f"eigenvalue {value} is not real")
         values.append(value.real)
         vectors.append(np.asarray(vector, dtype=complex))
@@ -161,15 +159,15 @@ def from_eigenpairs(pairs, ambient_dim):
     return EigenSystem(ambient_dim, np.array(values), np.array(vectors))
 
 
-def _expand(system, x):
+def _expand(basis, x):
+    """Coefficients of x on the orthonormal rows `basis`, and |x - (B* x) B|."""
     x = np.asarray(x, dtype=complex)
-    if x.shape != (system.ambient_dim,):
+    if x.shape != (basis.shape[1],):
         raise ValidationError(
-            f"vector has dimension {x.shape}, operator is {system.ambient_dim}-dimensional"
+            f"vector has dimension {x.shape}, operator is {basis.shape[1]}-dimensional"
         )
-    coeff = system.vectors.conj() @ x if system.count else np.zeros(0, dtype=complex)
-    resid = np.linalg.norm(x - coeff @ system.vectors) if system.count else np.linalg.norm(x)
-    return coeff, resid
+    coeff = basis.conj() @ x
+    return coeff, np.linalg.norm(x - coeff @ basis)
 
 
 def apply(system, x):
@@ -178,15 +176,15 @@ def apply(system, x):
     Raises OutsideDomain with the residual when the projection onto the
     domain misses x by more than numeric.DOMAIN relative to |x|.
     """
-    coeff, resid = _expand(system, x)
-    if not (resid <= numeric.DOMAIN * np.linalg.norm(x)):
+    coeff, resid = _expand(system.vectors, x)
+    if not numeric.within(resid, numeric.DOMAIN * np.linalg.norm(x)):
         raise OutsideDomain(resid)
     return (coeff * system.values) @ system.vectors
 
 
 def in_domain(system, x):
-    coeff, resid = _expand(system, x)
-    return resid <= numeric.DOMAIN * max(np.linalg.norm(x), numeric.NORM_FLOOR)
+    coeff, resid = _expand(system.vectors, x)
+    return numeric.within(resid, numeric.DOMAIN * max(np.linalg.norm(x), numeric.NORM_FLOOR))
 
 
 def orbit_span_dim(m, x, cap):
@@ -208,7 +206,7 @@ def orbit_span_dim(m, x, cap):
         for b in basis:
             v = v - np.vdot(b, v) * b
         nv = np.linalg.norm(v)
-        if nv <= numeric.KRYLOV:
+        if numeric.within(nv, numeric.KRYLOV):
             break
         basis.append(v / nv)
         v = m @ basis[-1]
@@ -234,8 +232,7 @@ def restrict(system, span_vectors):
     images = []
     for q in basis:
         y = apply(system, q)
-        inside = (basis.conj() @ y) @ basis
-        if np.linalg.norm(y - inside) > numeric.DOMAIN * (1.0 + np.linalg.norm(y)):
+        if not numeric.within(_expand(basis, y)[1], numeric.DOMAIN * (1.0 + np.linalg.norm(y))):
             raise NotInvariant(q)
         images.append(y)
     compressed = basis.conj() @ np.array(images).T
@@ -261,7 +258,7 @@ def project(span_vectors, x):
 def _domains_match(a, b):
     if a.count != b.count:
         return False
-    return all(_expand(b, q)[1] <= numeric.DOMAIN for q in a.vectors)
+    return all(numeric.within(_expand(b.vectors, q)[1], numeric.DOMAIN) for q in a.vectors)
 
 
 def commeasurable(systems):
@@ -283,8 +280,8 @@ def commeasurable(systems):
     for i in range(len(systems)):
         for j in range(i + 1, len(systems)):
             comm = mats[i] @ mats[j] - mats[j] @ mats[i]
-            worst = np.max(np.linalg.norm(comm @ basis.T, axis=0), initial=0.0)
-            if worst > tol_comm(systems[i].norm(), systems[j].norm()):
+            residuals = np.linalg.norm(comm @ basis.T, axis=0)
+            if not numeric.within(residuals, tol_comm(systems[i].norm(), systems[j].norm())):
                 return False
     return True
 
@@ -404,7 +401,7 @@ def is_extension(full_system, partial_system):
     m = full_system.matrix()
     tol = tol_eig(full_system.norm())
     for value, vector in zip(partial_system.values, partial_system.vectors):
-        if np.linalg.norm(m @ vector - value * vector) > tol:
+        if not numeric.within(np.linalg.norm(m @ vector - value * vector), tol):
             return False
     return True
 
@@ -435,7 +432,7 @@ def table_function(table, tol=numeric.TABLE_MATCH):
 
     def evaluate(x):
         for key, val in points:
-            if abs(x - key) <= tol:
+            if numeric.within(abs(x - key), tol):
                 return val
         raise ValidationError(f"no table entry within {tol} of {x}")
 

@@ -2,9 +2,9 @@
 
 Every tolerance the library compares a residual with is named here,
 once, with what it guards.  The values are fixed: public `tol=`
-parameters default to them, and nothing else sets them.  The pass
-thresholds in `verify` are separate on purpose, as an independent
-reference.
+parameters default to them, and nothing else sets them.  Residuals meet
+them only in `within`, which a NaN residual fails; the `verify` pass
+thresholds are separate on purpose, as an independent reference.
 """
 
 import numpy as np
@@ -36,11 +36,23 @@ SUPPORT = 1e-12  # coefficient magnitude of a live Fock component
 ALTERNATION = 1e-12  # sign-law mismatch in a signed tensor, per unit of max(|entry|, 1)
 
 
+def within(residual, tol):
+    """residual <= tol, False for NaN; an array counts as its largest |entry| (0 if empty)."""
+    if isinstance(residual, np.ndarray):
+        residual = np.max(np.abs(residual), initial=0.0)
+    return bool(residual <= tol)
+
+
+def live(values, tol):
+    """Mask of the entries whose magnitude exceeds `tol`; NaN is live."""
+    return ~(np.abs(values) <= tol)
+
+
 def clusters(values, td):
-    """Yield (start, stop) runs of sorted `values` whose gaps are at most `td`."""
+    """Yield (start, stop) runs of sorted `values` whose gaps are at most `td` in magnitude."""
     start = 0
     for i in range(1, len(values) + 1):
-        if i == len(values) or values[i] - values[i - 1] > td:
+        if i == len(values) or not abs(values[i] - values[i - 1]) <= td:
             yield start, i
             start = i
 

@@ -119,8 +119,8 @@ class SignedTensor:
                 f"table needs {1 << self.length} entries, got {len(table)}"
             )
         signs = 1.0 - 2.0 * _parities(len(table))
-        mismatch = np.max(np.abs(table - signs * table[0]), initial=0.0)
-        if not (mismatch <= numeric.ALTERNATION * max(np.max(np.abs(table), initial=0.0), 1.0)):
+        scale = max(np.max(np.abs(table), initial=0.0), 1.0)
+        if not numeric.within(table - signs * table[0], numeric.ALTERNATION * scale):
             raise ValidationError("table entries violate the sign alternation law")
         object.__setattr__(self, "table", table)
 
@@ -165,6 +165,8 @@ class TruncatedFockVector:
             raise ValidationError("need at least the u_0 coefficient")
         if len(coeffs) > MAX_PAIRS_FOCK + 1:
             raise ValidationError(f"at most {MAX_PAIRS_FOCK + 1} components supported")
+        if not np.isfinite(coeffs).all():
+            raise ValidationError("coefficients must be finite")
         object.__setattr__(self, "coeffs", coeffs)
 
     @property
@@ -243,7 +245,7 @@ def least_support(v, tol=numeric.SUPPORT):
     The zero vector (and anything supported on u_0 alone) has empty
     support.
     """
-    live = np.nonzero(np.abs(v.coeffs) > tol)[0]
+    live = np.nonzero(numeric.live(v.coeffs, tol))[0]
     if len(live) == 0:
         return set()
     return set(range(int(live[-1])))

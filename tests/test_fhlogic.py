@@ -143,6 +143,9 @@ def test_decompose_rejects_matrices_without_a_tail():
         decompose_equivariant(np.ones((3, 3)), ["a", "b", "c"])
     with pytest.raises(ValidationError):
         decompose_equivariant(np.eye(2), ["a", "b"])
+    # a NaN tail entry is rejected up front, not left to the tail search
+    with pytest.raises(ValidationError, match="entries must be finite"):
+        decompose_equivariant(np.diag([1.0, 1.0, np.nan]), ["a", "b", "c"])
 
 
 def linear_samples(weights, window):
@@ -172,6 +175,11 @@ def test_represent_functional_error_cases():
         represent_functional(partial, WINDOW)
     with pytest.raises(Inconsistent):
         represent_functional({}, ["n0", "n1"])
+    # the probe checks would also fail on a NaN, but as Inconsistent
+    nan_probe = linear_samples({}, WINDOW)
+    nan_probe[("n0", "n1")] = complex(np.nan, 0.0)
+    with pytest.raises(ValidationError, match="samples must be finite"):
+        represent_functional(nan_probe, WINDOW)
 
 
 def test_subspace_normalizes_finite_spans():

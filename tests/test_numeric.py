@@ -3,14 +3,66 @@
 import numpy as np
 import pytest
 
-from finobs import dynamics, finitary, numeric
+from finobs import dynamics, fhlogic, finitary, numeric
 from finobs.dynamics import check_density, check_state, check_unitary, subspace_intersection
 from finobs.errors import OutsideDomain, ToleranceError, ValidationError
-from finobs.fhlogic import FHOperator, represent_functional
-from finobs.finitary import EigenSystem, check_hermitian, from_eigenpairs
-from finobs.socks import SignedTensor
+from finobs.fhlogic import (
+    FHOperator,
+    canonicalize,
+    decompose_equivariant,
+    fh_to_matrix,
+    is_orthogonal,
+    represent_functional,
+    subspace,
+    subspace_equal,
+    zero_sum_compatible,
+)
+from finobs.finitary import (
+    EigenSystem,
+    check_hermitian,
+    commeasurable,
+    diagonalize,
+    from_eigenpairs,
+    in_domain,
+    is_extension,
+)
+from finobs.socks import SignedTensor, TruncatedFockVector, least_support
 
 NAN = float("nan")
+
+
+def test_within_is_a_nan_safe_at_most():
+    assert numeric.within(1e-9, 1e-9)
+    assert not numeric.within(np.nextafter(1e-9, 1.0), 1e-9)
+    assert not numeric.within(NAN, 1.0)
+    assert not numeric.within(np.float64(NAN), np.inf)
+    assert not numeric.within(1.0, NAN)
+    # a scalar is compared as it is, with its sign
+    assert numeric.within(-2.0, 0.0)
+    assert type(numeric.within(np.float64(0.5), 1.0)) is bool
+
+
+def test_within_reduces_an_array_to_its_largest_magnitude():
+    assert numeric.within(np.array([[0.5, -1.0j], [0.25, -1.0]]), 1.0)
+    assert not numeric.within(np.array([0.5, -1.0 - 1e-12]), 1.0)
+    assert not numeric.within(np.array([0.0, NAN, 0.0]), 1.0)
+    assert not numeric.within(np.array([complex(0.0, NAN)]), 1.0)
+    assert numeric.within(np.zeros((0, 3)), 0.0)
+    assert type(numeric.within(np.zeros(2), 1.0)) is bool
+
+
+def test_live_keeps_magnitudes_above_tol_and_nan():
+    values = np.array([1e-3, -1e-3j, 1e-12, -1e-13, 0.0, NAN, complex(NAN, 0.0)])
+    assert numeric.live(values, 1e-12).tolist() == [True, True, False, False, False, True, True]
+    rows = np.array([[1.0, 0.0], [NAN, 1e-20]])
+    assert numeric.live(rows, 1e-14).tolist() == [[True, False], [True, False]]
+
+
+def test_least_support_counts_a_nan_coefficient_as_live(monkeypatch):
+    # the constructor rejects NaN, so it is put in afterwards
+    v = TruncatedFockVector([1.0, 0.0, 0.0])
+    monkeypatch.setattr(v, "coeffs", np.array([1.0, 0.0, NAN], dtype=complex))
+    assert least_support(v) == {0, 1}
 
 
 def test_clusters_join_a_gap_of_exactly_td_and_split_just_above():
@@ -25,6 +77,18 @@ def test_clusters_join_a_gap_of_exactly_td_and_split_just_above():
 def test_clusters_of_empty_and_single_inputs():
     assert list(numeric.clusters(np.zeros(0), 1.0)) == []
     assert list(numeric.clusters(np.array([3.0]), 0.0)) == [(0, 1)]
+
+
+def test_clusters_compare_the_magnitude_of_complex_gaps():
+    # sorted by real then imaginary part; a gap may point down in either part
+    values = np.array([1.0, 1.0 + 0.5j, 1.25 - 0.5j, 1.5 - 0.5j, 3.0])
+    assert list(numeric.clusters(values, 0.5)) == [(0, 2), (2, 4), (4, 5)]
+    assert list(numeric.clusters(values, 1.04)) == [(0, 4), (4, 5)]
+    assert list(numeric.clusters(values, 2.0)) == [(0, 5)]
+
+
+def test_clusters_split_at_a_nan_gap():
+    assert list(numeric.clusters(np.array([0.0, 0.0, NAN]), 1.0)) == [(0, 2), (2, 3)]
 
 
 def test_components_order_groups_by_first_item_and_members_by_item_order():
@@ -61,38 +125,141 @@ def test_intersect_rows_keeps_only_shared_directions():
     assert numeric.intersect_rows(q1, q1, 0.0).shape == (2, 3)
 
 
+def _spoiled(monkeypatch, obj, name, value):
+    """`obj` with `name` set to `value` after its constructor checked it."""
+    monkeypatch.setattr(obj, name, np.asarray(value, dtype=complex))
+    return obj
+
+
+def _scaled_rows(monkeypatch, factor):
+    """Make the subspace predicates read every row times `factor`."""
+    exact = fhlogic._vectors_to_rows
+    monkeypatch.setattr(fhlogic, "_vectors_to_rows", lambda v, w: exact(v, w) * factor)
+
+
+def _fh(block, tail):
+    return FHOperator(tuple("pq"[: len(block)]), block, tail)
+
+
+def _diag(*values):
+    return diagonalize(np.diag(values))
+
+
+def _subspace_equal(monkeypatch, x):
+    s = subspace([{"q0": 1.0}])
+    _scaled_rows(monkeypatch, x)
+    return subspace_equal(s, s)
+
+
+def _is_orthogonal(monkeypatch, x):
+    s1, s2 = subspace([{"q0": 1.0}]), subspace([{"q1": 1.0}])
+    _scaled_rows(monkeypatch, x)
+    return is_orthogonal(s1, s2)
+
+
+def _is_extension(monkeypatch, x):
+    partial = from_eigenpairs([(1.0, [1.0, 0.0])], 2)
+    return is_extension(_diag(1.0, 2.0), _spoiled(monkeypatch, partial, "values", [x]))
+
+
+def _commeasurable(monkeypatch, x):
+    spoiled = _spoiled(monkeypatch, _diag(1.0, 2.0), "values", [1.0, x])
+    return commeasurable([_diag(1.0, 2.0), spoiled])
+
+
+def _zero_sum_compatible(monkeypatch, x):
+    op = _spoiled(monkeypatch, _fh(np.eye(2), 1.0), "block", [[x, 0.0], [0.0, 1.0]])
+    return zero_sum_compatible(op)
+
+
+# Each predicate answers True when the NaN is replaced by the finite value
+# listed with it; the NaN must turn that answer into False.
+PREDICATES = [
+    pytest.param(_zero_sum_compatible, 1.0, id="zero_sum_compatible"),
+    pytest.param(_subspace_equal, 1.0, id="subspace_equal"),
+    pytest.param(_is_orthogonal, 1.0, id="is_orthogonal"),
+    pytest.param(lambda mp, x: in_domain(_diag(1.0, 2.0), [1.0, x]), 0.0, id="in_domain"),
+    pytest.param(_is_extension, 1.0, id="is_extension"),
+    pytest.param(_commeasurable, 2.0, id="commeasurable"),
+]
+
+
+def _decompose_with_a_nan():
+    matrix = fh_to_matrix(FHOperator(("a",), [[2.0]], 1.0), ["a", "b", "c", "d"])
+    matrix[0, 0] = NAN
+    return decompose_equivariant(matrix, ["a", "b", "c", "d"])
+
+
+def _functional_with_a_nan_probe():
+    window = ["a", "b", "c", "d"]
+    samples = {(x, y): 0.0 for x in window for y in window if x < y}
+    samples[("a", "b")] = NAN
+    return represent_functional(samples, window)
+
+
 @pytest.mark.parametrize(
-    "build",
+    "build, expected",
     [
-        lambda: check_hermitian([[NAN, 0.0], [0.0, 1.0]]),
-        lambda: EigenSystem(2, [1.0, 2.0], [[NAN, 0.0], [0.0, 1.0]]),
-        lambda: EigenSystem(1, np.array([complex(1.0, NAN)]), [[1.0]]),
-        lambda: from_eigenpairs([(complex(1.0, NAN), [1.0])], 1),
-        lambda: check_state([NAN, 0.0]),
-        lambda: check_density([[NAN, 0.0], [0.0, 1.0]]),
-        lambda: check_unitary([[NAN, 0.0], [0.0, 1.0]]),
-        lambda: subspace_intersection([[NAN, 0.0]], [[1.0, 0.0]]),
-        lambda: FHOperator(("p",), [[NAN]], 0.0, symmetric=True),
-        lambda: FHOperator((), [], complex(0.0, NAN), symmetric=True),
-        lambda: SignedTensor(1, [NAN, NAN]),
-    ],
-    ids=[
-        "check_hermitian",
-        "EigenSystem-vectors",
-        "EigenSystem-values",
-        "from_eigenpairs",
-        "check_state",
-        "check_density",
-        "check_unitary",
-        "subspace_intersection",
-        "FHOperator-block",
-        "FHOperator-tail",
-        "SignedTensor",
-    ],
+        pytest.param(lambda mp: check_hermitian([[NAN, 0.0], [0.0, 1.0]]),
+                     ValidationError, id="check_hermitian"),
+        pytest.param(lambda mp: EigenSystem(2, [1.0, 2.0], [[NAN, 0.0], [0.0, 1.0]]),
+                     ValidationError, id="EigenSystem-vectors"),
+        pytest.param(lambda mp: EigenSystem(1, np.array([complex(1.0, NAN)]), [[1.0]]),
+                     ValidationError, id="EigenSystem-values"),
+        pytest.param(lambda mp: from_eigenpairs([(complex(1.0, NAN), [1.0])], 1),
+                     ValidationError, id="from_eigenpairs"),
+        pytest.param(lambda mp: check_state([NAN, 0.0]), ValidationError, id="check_state"),
+        pytest.param(lambda mp: check_density([[NAN, 0.0], [0.0, 1.0]]),
+                     ValidationError, id="check_density"),
+        pytest.param(lambda mp: check_unitary([[NAN, 0.0], [0.0, 1.0]]),
+                     ValidationError, id="check_unitary"),
+        pytest.param(lambda mp: subspace_intersection([[NAN, 0.0]], [[1.0, 0.0]]),
+                     ValidationError, id="subspace_intersection"),
+        pytest.param(lambda mp: FHOperator(("p",), [[NAN]], 0.0, symmetric=True),
+                     ValidationError, id="FHOperator-block"),
+        pytest.param(lambda mp: FHOperator((), [], complex(0.0, NAN), symmetric=True),
+                     ValidationError, id="FHOperator-tail"),
+        pytest.param(lambda mp: SignedTensor(1, [NAN, NAN]), ValidationError, id="SignedTensor"),
+        pytest.param(lambda mp: FHOperator(("p",), [[NAN]], 0.0),
+                     ValidationError, id="FHOperator-block-unflagged"),
+        pytest.param(lambda mp: FHOperator(("p",), [[float("inf")]], 0.0),
+                     ValidationError, id="FHOperator-block-inf"),
+        pytest.param(lambda mp: FHOperator((), [], complex(NAN, 0.0)),
+                     ValidationError, id="FHOperator-tail-unflagged"),
+        pytest.param(lambda mp: TruncatedFockVector([1.0, 0.0, NAN]),
+                     ValidationError, id="TruncatedFockVector"),
+        pytest.param(lambda mp: TruncatedFockVector([1.0, complex(0.0, float("-inf"))]),
+                     ValidationError, id="TruncatedFockVector-inf"),
+        pytest.param(lambda mp: _decompose_with_a_nan(),
+                     ValidationError, id="decompose_equivariant"),
+        pytest.param(lambda mp: _functional_with_a_nan_probe(),
+                     ValidationError, id="represent_functional"),
+        # a NaN entry must keep its atom, and the rebuilt operator then rejects it
+        pytest.param(lambda mp: canonicalize(_spoiled(mp, _fh([[1.0, 0.0], [0.0, 5.0]], 1.0),
+                                                      "block", [[NAN, 0.0], [0.0, 5.0]])),
+                     ValidationError, id="canonicalize"),
+        pytest.param(lambda mp: canonicalize(_spoiled(mp, _fh([[1.0]], 1.0), "tail", NAN)),
+                     ValidationError, id="canonicalize-tail"),
+    ]
+    + [pytest.param(p.values[0], False, id=p.id) for p in PREDICATES],
 )
-def test_validators_fail_closed_on_nan(build):
-    with pytest.raises(ValidationError):
-        build()
+def test_validators_fail_closed_on_nan(build, expected, monkeypatch):
+    if expected is False:
+        assert build(monkeypatch, NAN) is False
+    else:
+        with pytest.raises(expected):
+            build(monkeypatch)
+
+
+@pytest.mark.parametrize("build, finite", PREDICATES)
+def test_nan_predicate_cases_answer_true_at_a_finite_value(build, finite, monkeypatch):
+    assert build(monkeypatch, finite) is True
+
+
+def test_canonicalize_cases_drop_the_atom_at_a_finite_value(monkeypatch):
+    block = [[1.0, 0.0], [0.0, 5.0]]
+    assert canonicalize(_spoiled(monkeypatch, _fh(block, 1.0), "block", block)).support == ("q",)
+    assert canonicalize(_spoiled(monkeypatch, _fh([[1.0]], 1.0), "tail", 1.0)).support == ()
 
 
 # The postconditions compare a residual with a tolerance; a NaN residual
