@@ -223,6 +223,14 @@ def pref_le(f, g):
     return True
 
 
+def _bits(mask):
+    """Set-bit indices of a nonnegative int, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def partition_of_family(objects, labels, family):
     """Partition coded by a family of labelings, if the family is ideal-like.
 
@@ -242,32 +250,30 @@ def partition_of_family(objects, labels, family):
         measured = sum(fibers)
         for fiber in fibers:
             others = measured & ~fiber
-            while fiber:
-                i = (fiber & -fiber).bit_length() - 1
+            for i in _bits(fiber):
                 apart[i] = apart.get(i, 0) | others
-                fiber &= fiber - 1
+    dom = sum(1 << i for i in apart)
+    row = {i: dom & ~apart[i] for i in sorted(apart)}  # i and the objects linked to it
+    group = {}  # each distinct row -> the objects whose row it is
+    for i, linked in row.items():
+        group[linked] = group.get(linked, 0) | 1 << i
     names = objects.elements
-    dom = sorted(apart)
-
-    def related(i, j):
-        return not apart[i] >> j & 1
-
-    for i, j, k in permutations(dom, 3):
-        if related(i, j) and related(j, k) and not related(i, k):
-            x, y, z = names[i], names[j], names[k]
-            raise NonIdealFamily(
-                f"family separates {x!r} from {z!r} but links both to {y!r}",
-                witness=(x, y, z),
-            )
-
-    blocks = []
-    placed = set()
-    for i in dom:
-        if i in placed:
+    # linking is transitive iff every row is its own group; whether a row
+    # holds a witness depends on the row alone, and two rows that hold none
+    # are disjoint, so searching each failing row once stays linear
+    for linked, members in group.items():
+        if members == linked:
             continue
-        block = [j for j in dom if related(i, j)]
-        placed.update(block)
-        blocks.append(tuple(names[j] for j in block))
+        for j in _bits(linked):
+            beyond = row[j] & ~linked
+            if beyond:
+                i, k = next(_bits(members)), next(_bits(beyond))
+                x, y, z = names[i], names[j], names[k]
+                raise NonIdealFamily(
+                    f"family separates {x!r} from {z!r} but links both to {y!r}",
+                    witness=(x, y, z),
+                )
+    blocks = [tuple(names[j] for j in _bits(linked)) for linked in group]
     if len(blocks) > len(labels.values):
         raise InsufficientLabels(
             f"{len(blocks)} blocks need at least {len(blocks)} labels, "

@@ -18,6 +18,11 @@ from .finitary import Polynomial, from_eigenpairs, table_function
 from .measurement import LabelSet, ObjectSet, PartialLabeling, PartitionPlus
 from .socks import SignedTensor, TruncatedFockVector
 
+# the largest `measure` input; a larger family is refused before any
+# labeling is built
+MAX_FAMILY_OBJECTS = 10_000
+MAX_FAMILY_ENTRIES = 100_000  # summed over all labelings
+
 
 def _format_number(x):
     if isinstance(x, bool):
@@ -355,6 +360,10 @@ def load_labeling_family(node, ptr=""):
     """Inputs for the measure tool: object set, labels, labelings."""
     node = _as_object(node, ptr, ("objects", "distinguished", "labels", "labelings"))
     objects_node = _need(node["objects"], list, f"{ptr}/objects", "a list of ids")
+    if len(objects_node) > MAX_FAMILY_OBJECTS:
+        raise SchemaError(
+            f"{ptr}/objects", f"{len(objects_node)} objects exceed the cap of {MAX_FAMILY_OBJECTS}"
+        )
     elements = tuple(
         _need(x, str, f"{ptr}/objects/{i}", "a string") for i, x in enumerate(objects_node)
     )
@@ -368,11 +377,18 @@ def load_labeling_family(node, ptr=""):
         label_set = LabelSet(labels)
     except ValidationError as exc:
         raise SchemaError(ptr, str(exc)) from None
-    family = []
     labelings_node = _need(node["labelings"], list, f"{ptr}/labelings", "a list")
+    tables = []
     for i, entry in enumerate(labelings_node):
         entry = _as_object(entry, f"{ptr}/labelings/{i}", ("entries",))
-        entries = _need(entry["entries"], dict, f"{ptr}/labelings/{i}/entries", "an object")
+        tables.append(_need(entry["entries"], dict, f"{ptr}/labelings/{i}/entries", "an object"))
+    count = sum(map(len, tables))
+    if count > MAX_FAMILY_ENTRIES:
+        raise SchemaError(
+            f"{ptr}/labelings", f"{count} entries exceed the cap of {MAX_FAMILY_ENTRIES}"
+        )
+    family = []
+    for i, entries in enumerate(tables):
         for x, y in entries.items():
             _need(y, str, f"{ptr}/labelings/{i}/entries/{x}", "a string")
         try:

@@ -9,6 +9,7 @@ from values 1/sqrt2.  Truncated Fock vectors store coefficients over
 u_0, u_1, ..., u_M.
 """
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +48,8 @@ class PairVector:
         if self.pair < 0:
             raise ValidationError("pair index must be nonnegative")
         object.__setattr__(self, "a_value", complex(self.a_value))
+        if not cmath.isfinite(self.a_value):
+            raise ValidationError("a_value must be finite")
 
     @property
     def b_value(self):

@@ -47,7 +47,7 @@ def _density(rng, d):
 # measurement
 
 
-def _check_partition_roundtrip(seed):
+def _check_partition_ideal_roundtrip(seed):
     del seed  # exhaustive
     total = 0
     failed = 0
@@ -85,7 +85,7 @@ def _le_oracle(f, g, relabelings):
     return False
 
 
-def _check_relabel_order(seed):
+def _check_relabel_order_oracle(seed):
     del seed  # exhaustive
     pairs = 0
     failed = 0
@@ -111,7 +111,7 @@ def _check_relabel_order(seed):
     return CheckResult("relabel-order-oracle", failed == 0, detail)
 
 
-def _check_pushforward(seed):
+def _check_scale_pushforward_oracle(seed):
     del seed  # exhaustive
     cases = 0
     failed = 0
@@ -206,7 +206,7 @@ def _check_functional_calculus(seed):
 # dynamics
 
 
-def _check_evolution(seed):
+def _check_unitary_evolution(seed):
     # scipy is imported here so that suites without the expm oracles skip its load time
     import scipy.linalg
 
@@ -282,7 +282,7 @@ def _check_concatenation(seed):
     return CheckResult("concatenation", passed, detail)
 
 
-def _check_compression(seed):
+def _check_state_compression(seed):
     rng = _rng(seed, 8)
     worst = 0.0
     for _ in range(20):
@@ -305,7 +305,7 @@ def _check_compression(seed):
     return CheckResult("state-compression", worst <= 1e-9, detail)
 
 
-def _check_complementarity(seed):
+def _check_variance_complementarity(seed):
     rng = _rng(seed, 9)
     gap = np.sqrt(2.0)
     s_sys, t_sys = dynamics.complementarity_pair(5, (gap, 0.0))
@@ -348,7 +348,7 @@ def _check_complementarity(seed):
     return CheckResult("variance-complementarity", worst <= 1e-12 and ray_ok, detail)
 
 
-def _check_oscillator(seed):
+def _check_oscillator_spectrum(seed):
     del seed  # fixed grid
     t = dynamics.oscillator_hamiltonian(400, 10.0)
     system = finitary.diagonalize(t)
@@ -378,7 +378,7 @@ def _choice_value(pair_vectors, index, length):
     return out
 
 
-def _check_tensor_inner(seed):
+def _check_tensor_inner_identity(seed):
     rng = _rng(seed, 11)
     worst = 0.0
     for case in range(50):
@@ -502,7 +502,7 @@ def _check_fh_roundtrip(seed):
     return CheckResult("fh-roundtrip", failed == 0, detail)
 
 
-def _check_zero_sum(seed):
+def _check_zero_sum_criterion(seed):
     rng = _rng(seed, 15)
     cases = 0
     failed = 0
@@ -606,7 +606,7 @@ def _check_modular_law(seed):
     return CheckResult("modular-law", failed == 0, detail)
 
 
-def _check_state_additivity(seed):
+def _check_dimension_state_additivity(seed):
     rng = _rng(seed, 18)
     atoms = [f"q{i}" for i in range(6)]
     failed = 0
@@ -732,7 +732,7 @@ def _seeded_values(seed):
     ]
 
 
-def _check_persistence(seed):
+def _check_persistence_roundtrip(seed):
     cases = 0
     failed = 0
     for kind, value in _seeded_values(seed):
@@ -751,36 +751,36 @@ def _check_persistence(seed):
 
 SUITES = {
     "measurement": (
-        _check_partition_roundtrip,
-        _check_relabel_order,
-        _check_pushforward,
+        _check_partition_ideal_roundtrip,
+        _check_relabel_order_oracle,
+        _check_scale_pushforward_oracle,
     ),
     "finitary": (
         _check_eigen_reconstruction,
         _check_functional_calculus,
     ),
     "dynamics": (
-        _check_evolution,
+        _check_unitary_evolution,
         _check_concatenation,
-        _check_compression,
-        _check_complementarity,
-        _check_oscillator,
+        _check_state_compression,
+        _check_variance_complementarity,
+        _check_oscillator_spectrum,
     ),
     "socks": (
-        _check_tensor_inner,
+        _check_tensor_inner_identity,
         _check_tensor_antisymmetry,
         _check_flip_support,
     ),
     "fhlogic": (
         _check_fh_roundtrip,
-        _check_zero_sum,
+        _check_zero_sum_criterion,
         _check_functional_recovery,
         _check_modular_law,
-        _check_state_additivity,
+        _check_dimension_state_additivity,
         _check_density_refutation,
     ),
     "serialization": (
-        _check_persistence,
+        _check_persistence_roundtrip,
     ),
 }
 
@@ -801,7 +801,7 @@ def run_suite(name, seed):
         )
     results = []
     for fn in checks:
-        label = fn.__name__.removeprefix("_check_").replace("_", "-")
+        label = fn.__name__.removeprefix("_check_").replace("_", "-")  # the check's reported name
         try:
             results.append(fn(seed))
         except Exception as exc:  # a crash is a failed check, not a crash of the tool

@@ -35,17 +35,17 @@ def _timed(check):
 
 
 def test_01_partition_roundtrip_exhaustive():
-    result, elapsed = _timed(verify._check_partition_roundtrip)
+    result, elapsed = _timed(verify._check_partition_ideal_roundtrip)
     _report(1, "partition/ideal round-trip", result, elapsed, budget=5.0)
 
 
 def test_02_order_oracle_equivalence():
-    result, elapsed = _timed(verify._check_relabel_order)
+    result, elapsed = _timed(verify._check_relabel_order_oracle)
     _report(2, "le/pref_le vs relabeling oracles", result, elapsed, budget=10.0)
 
 
 def test_03_pushforward_oracle_equivalence():
-    result, elapsed = _timed(verify._check_pushforward)
+    result, elapsed = _timed(verify._check_scale_pushforward_oracle)
     _report(3, "scale pushforward vs generated family", result, elapsed, budget=30.0)
 
 
@@ -58,7 +58,7 @@ def test_05_functional_calculus():
 
 
 def test_06_evolution():
-    _report(6, "evolution norm/group law/expm oracle", verify._check_evolution(SEED))
+    _report(6, "evolution norm/group law/expm oracle", verify._check_unitary_evolution(SEED))
 
 
 def test_07_concatenation():
@@ -66,15 +66,15 @@ def test_07_concatenation():
 
 
 def test_08_state_compression():
-    _report(8, "state compression preserves f(T) traces", verify._check_compression(SEED))
+    _report(8, "state compression preserves f(T) traces", verify._check_state_compression(SEED))
 
 
 def test_09_variance_complementarity():
-    _report(9, "shared-ray pair, variance product 1/4", verify._check_complementarity(SEED))
+    _report(9, "shared-ray pair, variance product 1/4", verify._check_variance_complementarity(SEED))
 
 
 def test_10_oscillator_spectrum():
-    result, elapsed = _timed(verify._check_oscillator)
+    result, elapsed = _timed(verify._check_oscillator_spectrum)
     _report(10, "oscillator gap spacing", result, elapsed, budget=10.0)
 
 
@@ -83,7 +83,7 @@ def test_11_socks_tensors():
         11,
         "tensor inner identity, antisymmetry, flip support",
         [
-            verify._check_tensor_inner(SEED),
+            verify._check_tensor_inner_identity(SEED),
             verify._check_tensor_antisymmetry(SEED),
             verify._check_flip_support(SEED),
         ],
@@ -94,7 +94,7 @@ def test_12_fh_decomposition():
     _report(
         12,
         "finite-block round-trip and zero-sum criterion",
-        [verify._check_fh_roundtrip(SEED), verify._check_zero_sum(SEED)],
+        [verify._check_fh_roundtrip(SEED), verify._check_zero_sum_criterion(SEED)],
     )
 
 
@@ -104,7 +104,7 @@ def test_13_quantum_logic():
         "shearing identity, additive state, density refutation",
         [
             verify._check_modular_law(SEED),
-            verify._check_state_additivity(SEED),
+            verify._check_dimension_state_additivity(SEED),
             verify._check_density_refutation(SEED),
         ],
     )

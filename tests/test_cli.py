@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finobs import cli
-from finobs.serial import dumps_value, loads_value
+from finobs.serial import MAX_FAMILY_ENTRIES, MAX_FAMILY_OBJECTS, dumps_value, loads_value
 
 
 def run_cli(*args, env_extra=None):
@@ -384,19 +384,50 @@ def family_files(draw):
     return data
 
 
+def _measure_in_process(path):
+    out, err = io.StringIO(), io.StringIO()
+    # in process, a traceback would be an exception escaping main
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["measure", "--family", str(path)])
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_measure_refuses_a_family_over_either_cap(tmp_path):
+    objects = ["x", "y", "z"] + [f"o{i}" for i in range(MAX_FAMILY_OBJECTS - 3)]
+    pairs = [{"entries": {"x": "0", "y": "1"}}] * (MAX_FAMILY_ENTRIES // 2)
+    ideal = dict(_VALID_FAMILY, labelings=pairs[:1])
+    # the unknown object in the first labeling shows that the entry cap is
+    # checked before any labeling is built
+    cases = (
+        (dict(ideal, objects=objects), None),
+        (dict(ideal, objects=objects + ["w"]),
+         f"error: /objects: {MAX_FAMILY_OBJECTS + 1} objects exceed the cap of "
+         f"{MAX_FAMILY_OBJECTS}\n"),
+        (dict(ideal, labelings=pairs), None),
+        (dict(ideal, labelings=[{"entries": {"w": "0"}}] + pairs),
+         f"error: /labelings: {MAX_FAMILY_ENTRIES + 1} entries exceed the cap of "
+         f"{MAX_FAMILY_ENTRIES}\n"),
+    )
+    path = tmp_path / "family.json"
+    for doc, error in cases:
+        path.write_text(json.dumps(doc))
+        code, out, err = _measure_in_process(path)
+        if error is None:
+            assert code == 0 and err == "" and json.loads(out)["blocks"]
+        else:
+            assert (code, out, err) == (1, "", error)
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=family_files())
 def test_measure_fuzz_never_tracebacks(tmp_path_factory, data):
     path = tmp_path_factory.getbasetemp() / "fuzzed-family.json"
     path.write_bytes(data)
-    out, err = io.StringIO(), io.StringIO()
-    # in process, a traceback would be an exception escaping main
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(["measure", "--family", str(path)])
+    code, out, err = _measure_in_process(path)
     # measure checks no numerical tolerance, so exit 2 would be a fault too
-    assert code in (0, 1), err.getvalue()
-    assert "Traceback" not in err.getvalue()
+    assert code in (0, 1), err
+    assert "Traceback" not in err
     if code == 0:
-        assert err.getvalue() == "" and json.loads(out.getvalue())["blocks"]
+        assert err == "" and json.loads(out)["blocks"]
     else:
-        assert out.getvalue() == "" and err.getvalue().startswith("error: ")
+        assert out == "" and err.startswith("error: ")

@@ -148,6 +148,15 @@ def test_decompose_rejects_matrices_without_a_tail():
         decompose_equivariant(np.diag([1.0, 1.0, np.nan]), ["a", "b", "c"])
 
 
+def test_decompose_rejects_a_tail_cluster_wider_than_tol():
+    # gaps of 0.9 tol join b, c and d into one cluster, but b and d are
+    # 1.8 tol apart, so swapping them moves the matrix
+    tol = 1e-10
+    matrix = np.diag([5.0, 0.0, 0.9 * tol, 1.8 * tol])
+    with pytest.raises(NotEquivariant, match="transposition of atoms 'b', 'd' moves the matrix"):
+        decompose_equivariant(matrix, ["a", "b", "c", "d"], tol=tol)
+
+
 def linear_samples(weights, window):
     g = {a: complex(weights.get(a, 0.0)) for a in window}
     return {

@@ -33,6 +33,7 @@ from finobs.measurement import (
     pushforward_partition,
     scale_to_partition,
 )
+from finobs.measurement import _outside
 from finobs.serial import dumps_value
 
 X3 = ObjectSet(("x", "y", "z"), "a")
@@ -256,6 +257,125 @@ def test_family_needs_enough_labels():
     ]
     with pytest.raises(InsufficientLabels):
         partition_of_family(X3, Y2, family)
+
+
+def _cubic_partition_of_family(objects, labels, family):
+    """Reference: link two measured objects unless a member separates them,
+    then test transitivity over every ordered triple and build the blocks
+    with a quadratic loop."""
+    apart = {}
+    for f in family:
+        if _outside(f, objects, labels):
+            raise ValidationError("family member over a different object or label set")
+        measured = sum(f._fibers)
+        for fiber in f._fibers:
+            for i in range(len(objects.elements)):
+                if fiber >> i & 1:
+                    apart[i] = apart.get(i, 0) | measured & ~fiber
+    names = objects.elements
+    dom = sorted(apart)
+
+    def related(i, j):
+        return not apart[i] >> j & 1
+
+    for i, j, k in permutations(dom, 3):
+        if related(i, j) and related(j, k) and not related(i, k):
+            x, y, z = names[i], names[j], names[k]
+            raise NonIdealFamily(
+                f"family separates {x!r} from {z!r} but links both to {y!r}",
+                witness=(x, y, z),
+            )
+    blocks = []
+    placed = set()
+    for i in dom:
+        if i not in placed:
+            block = [j for j in dom if related(i, j)]
+            placed.update(block)
+            blocks.append(tuple(names[j] for j in block))
+    if len(blocks) > len(labels.values):
+        raise InsufficientLabels(
+            f"{len(blocks)} blocks need at least {len(blocks)} labels, "
+            f"have {len(labels.values)}"
+        )
+    absorber = [objects.distinguished] + [x for i, x in enumerate(names) if i not in apart]
+    return PartitionPlus(objects, tuple(blocks) + (tuple(absorber),))
+
+
+def _outcome(build, *args):
+    try:
+        return build(*args)
+    except (NonIdealFamily, InsufficientLabels) as exc:
+        return type(exc), str(exc), getattr(exc, "witness", None)
+
+
+@st.composite
+def families(draw):
+    n = draw(st.integers(0, 7))
+    objects = ObjectSet(tuple(f"o{i}" for i in range(n)), "a")
+    labels = LabelSet(tuple(range(draw(st.integers(1, 4)))))
+    values = st.lists(st.sampled_from([None, *labels.values]), min_size=n, max_size=n)
+    family = []
+    for row in draw(st.lists(values, max_size=4)):
+        entries = {x: y for x, y in zip(objects.elements, row) if y is not None}
+        family.append(PartialLabeling(objects, labels, entries))
+    return objects, labels, family
+
+
+@settings(max_examples=400, deadline=None)
+@given(families())
+def test_family_partition_matches_the_cubic_reference(case):
+    assert _outcome(partition_of_family, *case) == _outcome(_cubic_partition_of_family, *case)
+
+
+def _objects(n):
+    return ObjectSet(tuple(f"x{i}" for i in range(n)), "a")
+
+
+def test_late_witness_over_many_objects_is_found_fast():
+    # x19998 and x19999 are separated, and every other object links to both;
+    # the row shared by those others holds no witness and is searched once
+    objects = _objects(20000)
+    labels = LabelSet(("0", "1"))
+    start = time.perf_counter()
+    family = [
+        PartialLabeling(objects, labels, {x: "0" for x in objects.elements[:-1]}),
+        PartialLabeling(objects, labels, {"x19998": "0", "x19999": "1"}),
+    ]
+    with pytest.raises(NonIdealFamily) as info:
+        partition_of_family(objects, labels, family)
+    assert time.perf_counter() - start < 5.0
+    assert info.value.witness == ("x19998", "x0", "x19999")
+
+
+def test_stars_with_hubs_first_are_searched_once_each():
+    # star s: hub x{s} links to leaves x{3333 + 2s} and x{3334 + 2s}, which
+    # one member separates; stars are apart, and no hub's row holds a witness
+    stars = 3333
+    objects = _objects(3 * stars)
+    labels = LabelSet(tuple(str(s) for s in range(stars)))
+    names = objects.elements
+    start = time.perf_counter()
+    star_of = {names[s]: str(s) for s in range(stars)}
+    star_of.update((names[stars + t], str(t // 2)) for t in range(2 * stars))
+    family = [PartialLabeling(objects, labels, star_of)]
+    family += [
+        PartialLabeling(objects, labels, {names[stars + 2 * s]: "0", names[stars + 2 * s + 1]: "1"})
+        for s in range(stars)
+    ]
+    with pytest.raises(NonIdealFamily) as info:
+        partition_of_family(objects, labels, family)
+    assert time.perf_counter() - start < 5.0
+    assert info.value.witness == ("x3333", "x0", "x3334")
+
+
+def test_many_singleton_blocks_stay_cheap():
+    objects = _objects(4000)
+    labels = LabelSet(tuple(range(4000)))
+    start = time.perf_counter()
+    family = [PartialLabeling(objects, labels, dict(zip(objects.elements, labels.values)))]
+    p = partition_of_family(objects, labels, family)
+    assert time.perf_counter() - start < 5.0
+    assert p.blocks == (("a",),) + tuple((x,) for x in objects.elements)
 
 
 def test_ideal_contains():

@@ -26,7 +26,7 @@ from finobs.finitary import (
     in_domain,
     is_extension,
 )
-from finobs.socks import SignedTensor, TruncatedFockVector, least_support
+from finobs.socks import PairVector, SignedTensor, TruncatedFockVector, least_support
 
 NAN = float("nan")
 
@@ -230,6 +230,9 @@ def _functional_with_a_nan_probe():
                      ValidationError, id="TruncatedFockVector"),
         pytest.param(lambda mp: TruncatedFockVector([1.0, complex(0.0, float("-inf"))]),
                      ValidationError, id="TruncatedFockVector-inf"),
+        pytest.param(lambda mp: PairVector(0, NAN), ValidationError, id="PairVector"),
+        pytest.param(lambda mp: PairVector(0, complex(0.0, float("inf"))),
+                     ValidationError, id="PairVector-inf"),
         pytest.param(lambda mp: _decompose_with_a_nan(),
                      ValidationError, id="decompose_equivariant"),
         pytest.param(lambda mp: _functional_with_a_nan_probe(),
