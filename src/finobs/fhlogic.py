@@ -274,33 +274,84 @@ def represent_functional(samples, window, tol=numeric.PROBE):
 
 @dataclass(eq=False)
 class SymbolicSubspace:
-    """Closed subspace: finite orthonormal span, plus an optional
-    cofinite component holding everything off the `exclude` atoms.
+    """Closed subspace: orthonormal `rows` over the sorted atom `window`,
+    plus, when `cofinite`, the full space over every atom off the window.
 
-    When the cofinite part is present the finite vectors live inside
-    the excluded window, and no excluded atom's basis vector lies in
-    the span (least exclusion set).  Use `subspace` to build one.
+    A finite subspace's window is exactly the atoms its rows touch; a
+    cofinite one's is the least exclusion set, holding no atom whose
+    basis vector lies in the span.  `finite` and `exclude` are derived
+    views.  Use `subspace` to build one.
     """
 
-    finite: tuple
-    exclude: tuple = None
+    window: tuple
+    rows: np.ndarray
+    cofinite: bool = False
+
+    @property
+    def exclude(self):
+        return self.window if self.cofinite else None
+
+    @property
+    def finite(self):
+        return tuple(FiniteSupportVector(zip(self.window, row)) for row in self.rows.tolist())
 
 
 def _vectors_to_rows(vectors, window):
+    """One row per vector over `window`; coordinates off the window are dropped."""
     index = {a: i for i, a in enumerate(window)}
     rows = np.zeros((len(vectors), len(window)), dtype=complex)
     for r, v in enumerate(vectors):
         for atom, value in v.entries:
-            rows[r, index[atom]] = value
+            if atom in index:
+                rows[r, index[atom]] = value
     return rows
 
 
-def _rows_to_vectors(rows, window):
-    masks = numeric.live(rows, numeric.ZERO_COORD).tolist()
-    return tuple(
-        FiniteSupportVector({a: x for a, x, keep in zip(window, row, mask) if keep})
-        for row, mask in zip(rows.tolist(), masks)
-    )
+def _rows_over(space, window):
+    """The space's rows with one column per atom of `window`, which covers its own."""
+    index = {a: i for i, a in enumerate(window)}
+    rows = np.zeros((len(space.rows), len(window)), dtype=complex)
+    rows[:, [index[a] for a in space.window]] = space.rows
+    return rows
+
+
+def _drop_small(rows):
+    """`rows` with every coordinate at or below ZERO_COORD made an exact zero."""
+    return np.where(numeric.live(rows, numeric.ZERO_COORD), rows, 0)
+
+
+def _touched(rows, window):
+    """`rows` and `window` without the atoms whose column is all zero."""
+    keep = np.any(rows != 0, axis=0)
+    return rows[:, keep], [a for a, k in zip(window, keep) if k]
+
+
+def _inside(rows, tol):
+    """Mask of the atoms whose basis vector lies in the span of orthonormal `rows`."""
+    return np.sum(np.abs(rows) ** 2, axis=0) >= 1.0 - 10 * tol
+
+
+def _canonical(rows, window, cofinite, tol):
+    """Canonical SymbolicSubspace spanned by `rows` over the sorted list
+    `window`, plus the full space off the window when `cofinite`.
+
+    A finite span keeps only the atoms its rows touch; a cofinite one
+    releases, one at a time, the atoms whose basis vector is in the span.
+    """
+    if not cofinite:
+        rows, window = _touched(rows, window)
+    rows = numeric.orth_rows(rows)
+    while cofinite and _inside(rows, tol).any():
+        pos = int(np.argmax(_inside(rows, tol)))
+        # the deflation, not a plain column slice, sets the signs of the zeros the SVD sees
+        deflated = rows - np.outer(rows[:, pos], np.eye(len(window), dtype=complex)[pos])
+        keep = [i for i in range(len(window)) if i != pos]
+        rows = numeric.orth_rows(deflated[:, keep])
+        window = [window[i] for i in keep]
+    rows = _drop_small(rows)
+    if not cofinite:
+        rows, window = _touched(rows, window)
+    return SymbolicSubspace(tuple(window), rows, cofinite)
 
 
 def subspace(vectors, exclude=None, tol=numeric.SPAN):
@@ -317,34 +368,11 @@ def subspace(vectors, exclude=None, tol=numeric.SPAN):
     ]
     if exclude is None:
         window = sorted({a for v in vectors for a in v.support()})
-        rows = numeric.orth_rows(_vectors_to_rows(vectors, window))
-        return SymbolicSubspace(_rows_to_vectors(rows, window), None)
-
-    window = sorted(str(a) for a in exclude)
-    if len(set(window)) != len(window):
-        raise ValidationError("excluded atoms must be distinct")
-    trimmed = []
-    for v in vectors:
-        trimmed.append({a: x for a, x in v.entries if a in set(window)})
-    rows = numeric.orth_rows(_vectors_to_rows([FiniteSupportVector(t) for t in trimmed], window))
-    # release excluded atoms already inside the span
-    changed = True
-    while changed and len(window):
-        changed = False
-        for pos, atom in enumerate(window):
-            if rows.shape[0] == 0:
-                break
-            weight = float(np.sum(np.abs(rows[:, pos]) ** 2))
-            if weight >= 1.0 - 10 * tol:
-                unit = np.zeros(len(window), dtype=complex)
-                unit[pos] = 1.0
-                deflated = rows - np.outer(rows[:, pos], unit)
-                keep = [i for i in range(len(window)) if i != pos]
-                rows = numeric.orth_rows(deflated[:, keep])
-                window = [window[i] for i in keep]
-                changed = True
-                break
-    return SymbolicSubspace(_rows_to_vectors(rows, window), tuple(window))
+    else:
+        window = sorted(str(a) for a in exclude)
+        if len(set(window)) != len(window):
+            raise ValidationError("excluded atoms must be distinct")
+    return _canonical(_vectors_to_rows(vectors, window), window, exclude is not None, tol)
 
 
 def checked_subspace(vectors, exclude, tol=numeric.SPAN):
@@ -358,47 +386,29 @@ def checked_subspace(vectors, exclude, tol=numeric.SPAN):
         v if isinstance(v, FiniteSupportVector) else FiniteSupportVector(v)
         for v in vectors
     )
-    if exclude is None:
-        window = sorted({a for v in vectors for a in v.support()})
-    else:
-        window = [str(a) for a in exclude]
-        if window != sorted(set(window)):
-            return None
-        allowed = set(window)
-        if any(a not in allowed for v in vectors for a in v.support()):
-            return None
-    rows = _vectors_to_rows(list(vectors), window)
+    atoms = {a for v in vectors for a in v.support()}
+    window = sorted(atoms) if exclude is None else [str(a) for a in exclude]
+    if window != sorted(set(window)) or not atoms <= set(window):
+        return None
+    rows = _vectors_to_rows(vectors, window)
     if not numeric.within(rows @ rows.conj().T - np.eye(len(vectors)), tol):
         return None
-    if exclude is not None and len(vectors):
-        weights = np.sum(np.abs(rows) ** 2, axis=0)
-        if np.any(weights >= 1.0 - 10 * tol):
-            return None
-    return SymbolicSubspace(vectors, None if exclude is None else tuple(window))
+    if exclude is not None and np.any(_inside(rows, tol)):
+        return None
+    return SymbolicSubspace(tuple(window), rows, exclude is not None)
 
 
 def _full_rows(space, window):
     """Rows spanning the subspace inside the window's coordinate space."""
-    rows = _vectors_to_rows(list(space.finite), window)
-    if space.exclude is not None:
-        excluded = set(space.exclude)
-        free = [a for a in window if a not in excluded]
-        extra = np.zeros((len(free), len(window)), dtype=complex)
-        index = {a: i for i, a in enumerate(window)}
-        for r, a in enumerate(free):
-            extra[r, index[a]] = 1.0
-        rows = np.vstack([rows, extra]) if len(rows) else extra
+    rows = _rows_over(space, window)
+    if space.cofinite:
+        free = [i for i, a in enumerate(window) if a not in space.window]
+        rows = np.vstack([rows, np.eye(len(window), dtype=complex)[free]])
     return numeric.orth_rows(rows)
 
 
-def _joint_window(*spaces):
-    atoms = set()
-    for s in spaces:
-        for v in s.finite:
-            atoms.update(v.support())
-        if s.exclude is not None:
-            atoms.update(s.exclude)
-    return sorted(atoms)
+def _joint_window(s1, s2):
+    return sorted(set(s1.window) | set(s2.window))
 
 
 def subspace_meet(s1, s2, tol=numeric.SPAN):
@@ -410,31 +420,24 @@ def subspace_meet(s1, s2, tol=numeric.SPAN):
         shared = np.zeros((0, len(window)), dtype=complex)
     else:
         shared = numeric.intersect_rows(r1, r2, tol)
-    vectors = _rows_to_vectors(shared, window)
-    cofinite = s1.exclude is not None and s2.exclude is not None
-    return subspace(vectors, exclude=window if cofinite else None, tol=tol)
+    return _canonical(_drop_small(shared), window, s1.cofinite and s2.cofinite, tol)
 
 
 def subspace_join(s1, s2, tol=numeric.SPAN):
     """Lattice join: the closed sum, always inside the subspace class."""
     window = _joint_window(s1, s2)
     stacked = np.vstack([_full_rows(s1, window), _full_rows(s2, window)])
-    vectors = _rows_to_vectors(numeric.orth_rows(stacked), window)
-    cofinite = s1.exclude is not None or s2.exclude is not None
-    return subspace(vectors, exclude=window if cofinite else None, tol=tol)
+    rows = _drop_small(numeric.orth_rows(stacked))
+    return _canonical(rows, window, s1.cofinite or s2.cofinite, tol)
 
 
 def subspace_equal(s1, s2, tol=numeric.SPAN_EQUAL):
     """Equality of canonical forms: same exclusion set, same finite span."""
-    if (s1.exclude is None) != (s2.exclude is None):
-        return False
-    if s1.exclude is not None and tuple(s1.exclude) != tuple(s2.exclude):
-        return False
-    if len(s1.finite) != len(s2.finite):
+    if s1.exclude != s2.exclude or len(s1.rows) != len(s2.rows):
         return False
     window = _joint_window(s1, s2)
-    r1 = _vectors_to_rows(list(s1.finite), window)
-    r2 = _vectors_to_rows(list(s2.finite), window)
+    r1 = _rows_over(s1, window)
+    r2 = _rows_over(s2, window)
     return numeric.within(r1.conj().T @ r1 - r2.conj().T @ r2, tol)
 
 
@@ -445,26 +448,21 @@ def is_orthogonal(s1, s2, tol=numeric.SPAN):
     out in the atom set, so at most one member of an orthogonal family
     can carry one.
     """
-    if s1.exclude is not None and s2.exclude is not None:
+    if s1.cofinite and s2.cofinite:
         return False
     window = _joint_window(s1, s2)
-    r1 = _vectors_to_rows(list(s1.finite), window)
-    r2 = _vectors_to_rows(list(s2.finite), window)
+    r1 = _rows_over(s1, window)
+    r2 = _rows_over(s2, window)
     if not numeric.within(r1.conj() @ r2.T, tol):
         return False
-    for finite_side, cofinite_side in ((s1, s2), (s2, s1)):
-        if cofinite_side.exclude is None:
-            continue
-        allowed = set(cofinite_side.exclude)
-        for v in finite_side.finite:
-            if any(a not in allowed for a in v.support()):
-                return False
-    return True
+    finite_side, other = (s2, s1) if s1.cofinite else (s1, s2)
+    # a finite span misses a cofinite part only if its window lies in the exclusion set
+    return not other.cofinite or set(finite_side.window) <= set(other.window)
 
 
 def two_valued_state(space):
     """Dimension state: 0 on finite-dimensional subspaces, 1 otherwise."""
-    return 0 if space.exclude is None else 1
+    return 1 if space.cofinite else 0
 
 
 def modularity_check(x, y, z):

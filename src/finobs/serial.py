@@ -326,8 +326,8 @@ def load_subspace(node, ptr=""):
 def save_subspace(space):
     return {
         "finite": [
-            {atom: _complex_out(value) for atom, value in v.entries}
-            for v in space.finite
+            {atom: _complex_out(value) for atom, value in zip(space.window, row) if value != 0}
+            for row in space.rows.tolist()
         ],
         "cofinite_excluding": list(space.exclude) if space.exclude is not None else None,
     }

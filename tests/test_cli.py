@@ -333,7 +333,7 @@ _VALID_FAMILY = {
     "objects": ["x", "y", "z"],
     "distinguished": "a",
     "labels": ["0", "1"],
-    "labelings": [{"entries": {"x": "0", "y": "1"}}, {"entries": {"z": "1"}}],
+    "labelings": [{"entries": {"x": "0", "y": "1"}}, {"entries": {"x": "0", "z": "1"}}],
 }
 
 _JUNK = st.one_of(
@@ -416,6 +416,15 @@ def test_measure_refuses_a_family_over_either_cap(tmp_path):
             assert code == 0 and err == "" and json.loads(out)["blocks"]
         else:
             assert (code, out, err) == (1, "", error)
+
+
+def test_measure_fuzz_base_document_is_ideal(tmp_path):
+    # so unmodified nodes of the fuzzed documents reach the exit-0 branch
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(_VALID_FAMILY))
+    code, out, err = _measure_in_process(path)
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"distinguished": "a", "blocks": [["a"], ["x"], ["y", "z"]]}
 
 
 @settings(max_examples=150, deadline=None)

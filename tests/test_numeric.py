@@ -133,8 +133,8 @@ def _spoiled(monkeypatch, obj, name, value):
 
 def _scaled_rows(monkeypatch, factor):
     """Make the subspace predicates read every row times `factor`."""
-    exact = fhlogic._vectors_to_rows
-    monkeypatch.setattr(fhlogic, "_vectors_to_rows", lambda v, w: exact(v, w) * factor)
+    exact = fhlogic._rows_over
+    monkeypatch.setattr(fhlogic, "_rows_over", lambda s, w: exact(s, w) * factor)
 
 
 def _fh(block, tail):
