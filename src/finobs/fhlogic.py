@@ -295,6 +295,9 @@ class SymbolicSubspace:
     def finite(self):
         return tuple(FiniteSupportVector(zip(self.window, row)) for row in self.rows.tolist())
 
+    def __repr__(self):
+        return f"SymbolicSubspace(finite={self.finite!r}, exclude={self.exclude!r})"
+
 
 def _vectors_to_rows(vectors, window):
     """One row per vector over `window`; coordinates off the window are dropped."""
