@@ -45,9 +45,11 @@ def check_unitary(u):
 def evolve(system, psi0, t):
     """State at time t under the evolution generated by `system`.
 
-    psi0 must be a unit vector inside the operator domain; each
-    eigencomponent is rotated by exp(-i value t).
+    psi0 must be a unit vector inside the operator domain and t a
+    finite time; each eigencomponent is rotated by exp(-i value t).
     """
+    if not np.isfinite(t):
+        raise ValidationError(f"evolution time must be finite, got {t}")
     psi0 = check_state(psi0)
     coeff, resid = finitary._expand(system.vectors, psi0)
     if not numeric.within(resid, numeric.DOMAIN * np.linalg.norm(psi0)):

@@ -4,6 +4,11 @@ Complex numbers are two-element [re, im] arrays; floats are printed
 with 17 significant digits so that save/load/save round-trips are byte
 identical.  Loaders validate shape before construction and report
 failures with a JSON-pointer path.
+
+Every input is a kind of `_LOADERS`, read by `loads_value(kind, text)`
+or `load_value(kind, path)`, whose invalid-JSON error names the file.
+`observable`, `function` and `family` are input only, with no saver.
+`read_text` and `write_text` hold all of the command line's file I/O.
 """
 
 import json
@@ -14,7 +19,7 @@ import numpy as np
 
 from .errors import SchemaError, ValidationError
 from .fhlogic import FHOperator, FiniteSupportVector, checked_subspace, subspace
-from .finitary import Polynomial, from_eigenpairs, table_function
+from .finitary import Polynomial, diagonalize, from_eigenpairs, table_function
 from .measurement import LabelSet, ObjectSet, PartialLabeling, PartitionPlus
 from .socks import SignedTensor, TruncatedFockVector
 
@@ -178,6 +183,13 @@ def save_eigensystem(system):
             for value, vector in zip(system.values, system.vectors)
         ],
     }
+
+
+def load_observable(node, ptr=""):
+    """A stored eigensystem, or a bare Hermitian matrix to diagonalize."""
+    if isinstance(node, dict):
+        return load_eigensystem(node, ptr)
+    return diagonalize(load_matrix(node, ptr))
 
 
 def load_state(node, ptr=""):
@@ -401,6 +413,7 @@ def load_labeling_family(node, ptr=""):
 _LOADERS = {
     "operator": load_matrix,
     "eigensystem": load_eigensystem,
+    "observable": load_observable,
     "state": load_state,
     "density": load_density,
     "partition": load_partition,
@@ -409,6 +422,8 @@ _LOADERS = {
     "subspace": load_subspace,
     "tensor": load_tensor,
     "flips": load_flips,
+    "function": load_function,
+    "family": load_labeling_family,
 }
 
 _SAVERS = {
@@ -425,13 +440,16 @@ _SAVERS = {
 }
 
 
-def loads_value(kind, text):
+def loads_value(kind, text, *, _path=None):
+    """A value of `kind` from JSON `text`; `load_value` passes `_path` so
+    that an invalid-JSON error names the file."""
     if kind not in _LOADERS:
         raise ValidationError(f"unknown kind {kind!r}")
     try:
         node = json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit
-        raise SchemaError("", f"invalid JSON: {exc}") from None
+        where = "" if _path is None else f" in {_path}"
+        raise SchemaError("", f"invalid JSON{where}: {exc}") from None
     return _LOADERS[kind](node)
 
 
@@ -443,8 +461,17 @@ def read_text(path):
             raise ValidationError(f"{path} is not valid UTF-8") from None
 
 
+def write_text(text, path):
+    """Write `text` to the file at `path`, or to stdout when `path` is None."""
+    if path is None:
+        sys.stdout.write(text)
+        return
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
 def load_value(kind, path):
-    return loads_value(kind, read_text(path))
+    return loads_value(kind, read_text(path), _path=path)
 
 
 def dumps_value(kind, value):
@@ -455,9 +482,5 @@ def dumps_value(kind, value):
 
 def save_value(kind, value, path=None):
     text = dumps_value(kind, value)
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    write_text(text, path)
     return text

@@ -1,22 +1,46 @@
-"""End-to-end checks of the command line front end, mostly via subprocesses."""
+"""End-to-end checks of the command line front end.
 
+Most cases call `cli.main` in process with stdout and stderr captured.
+The `python -m finobs` entry point, the FINOBS_SEED override and verify
+determinism run in a subprocess.
+"""
+
+import ast
 import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finobs import cli
+from finobs import cli, serial
+from finobs.errors import FinobsError, ToleranceError
 from finobs.serial import MAX_FAMILY_ENTRIES, MAX_FAMILY_OBJECTS, dumps_value, loads_value
 
 
-def run_cli(*args, env_extra=None):
+class Done(NamedTuple):
+    returncode: int
+    stdout: str
+    stderr: str
+
+
+def run_cli(*args):
+    out, err = io.StringIO(), io.StringIO()
+    # in process, a traceback would be an exception escaping main
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(args))
+    return Done(code, out.getvalue(), err.getvalue())
+
+
+def run_module(*args, env_extra=None):
     env = dict(os.environ)
     if env_extra:
         env.update(env_extra)
@@ -48,7 +72,7 @@ def test_evolve_matches_the_library(workdir):
     )
     s = 1.0 / np.sqrt(2.0)
     state = write("psi.json", dumps_value("state", np.array([s, s])))
-    done = run_cli("evolve", "--hamiltonian", ham, "--state", state, "--time", "1.0")
+    done = run_module("evolve", "--hamiltonian", ham, "--state", state, "--time", "1.0")
     assert done.returncode == 0, done.stderr
     psi = loads_value("state", done.stdout)
     assert np.allclose(psi, [s, -s], atol=1e-12)
@@ -146,13 +170,13 @@ def test_uncertainty_reports_the_product(workdir):
 
 def test_seed_env_overrides_flag(workdir):
     with_flag = run_cli("uncertainty", "--dim", "5", "--alphas", "0,2", "--seed", "7")
-    with_env = run_cli(
+    with_env = run_module(
         "uncertainty", "--dim", "5", "--alphas", "0,2",
         env_extra={"FINOBS_SEED": "7"},
     )
     assert with_flag.returncode == with_env.returncode == 0
     assert with_flag.stdout == with_env.stdout
-    bad = run_cli("verify", "--suite", "socks", env_extra={"FINOBS_SEED": "x"})
+    bad = run_module("verify", "--suite", "socks", env_extra={"FINOBS_SEED": "x"})
     assert bad.returncode == 1
     assert "FINOBS_SEED" in bad.stderr
 
@@ -176,10 +200,16 @@ def test_measure_rejects_a_non_string_label(workdir):
     assert done.stderr == "error: /labelings/0/entries/x: expected a string\n"
 
 
+def _with_seed_env(value, *args):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("FINOBS_SEED", value)
+        return run_cli(*args)
+
+
 def test_negative_seed_is_rejected_before_any_check():
     for done in (
         run_cli("verify", "--suite", "finitary", "--seed", "-1"),
-        run_cli("verify", "--suite", "finitary", env_extra={"FINOBS_SEED": "-1"}),
+        _with_seed_env("-1", "verify", "--suite", "finitary"),
         run_cli("uncertainty", "--dim", "5", "--alphas", "0,2", "--seed", "-1"),
     ):
         assert done.returncode == 1
@@ -282,8 +312,8 @@ def test_lattice_modular(workdir):
 
 
 def test_verify_is_deterministic(workdir):
-    first = run_cli("verify", "--suite", "serialization", "--seed", "3")
-    second = run_cli("verify", "--suite", "serialization", "--seed", "3")
+    first = run_module("verify", "--suite", "serialization", "--seed", "3")
+    second = run_module("verify", "--suite", "serialization", "--seed", "3")
     assert first.returncode == 0, first.stdout + first.stderr
     assert first.stdout == second.stdout
     assert first.stdout.startswith("verify suite=serialization seed=3")
@@ -385,11 +415,7 @@ def family_files(draw):
 
 
 def _measure_in_process(path):
-    out, err = io.StringIO(), io.StringIO()
-    # in process, a traceback would be an exception escaping main
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(["measure", "--family", str(path)])
-    return code, out.getvalue(), err.getvalue()
+    return run_cli("measure", "--family", str(path))
 
 
 def test_measure_refuses_a_family_over_either_cap(tmp_path):
@@ -440,3 +466,181 @@ def test_measure_fuzz_never_tracebacks(tmp_path_factory, data):
         assert err == "" and json.loads(out)["blocks"]
     else:
         assert out == "" and err.startswith("error: ")
+
+
+def test_evolve_rejects_a_non_finite_time(workdir):
+    _, write = workdir
+    ham = write("h.json", "[[[1, 0]]]")
+    state = write("psi.json", '{"vector": [[1, 0]]}')
+    for t in ("inf", "nan", "-inf"):
+        done = run_cli("evolve", "--hamiltonian", ham, "--state", state, f"--time={t}")
+        assert done == (1, "", f"error: evolution time must be finite, got {t}\n")
+
+
+def test_invalid_json_names_the_file(workdir):
+    _, write = workdir
+    bad = write("bad.json", "{")
+    ham = write("h.json", "[[[1, 0]]]")
+    for argv in (
+        ("spec", "--operator", bad),
+        ("evolve", "--hamiltonian", ham, "--state", bad, "--time", "1.0"),
+    ):
+        done = run_cli(*argv)
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert done.stderr.startswith(f"error: /: invalid JSON in {bad}: ")
+
+
+def test_cli_leaves_file_and_stdout_io_to_serial():
+    # every input goes through serial.load_value and every output
+    # through serial.write_text
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    banned = {"json.loads", "open", "serial.read_text", "sys.stdout.write"}
+    called = {
+        ast.unparse(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)
+    }
+    assert not called & banned
+
+
+# ---------------------------------------------------------------- fuzz gate
+#
+# Every kind in serial._LOADERS is fuzzed through the subcommand that
+# reads it: "@" marks the fuzzed file and "@kind" a base document of
+# that kind.  No subcommand reads a partition, so it is loaded directly.
+
+_BASE = {
+    "operator": [[[2, 0], [1, -0.5]], [[1, 0.5], [-1, 0]]],
+    "eigensystem": {
+        "ambient_dim": 2,
+        "pairs": [
+            {"value": 0.5, "vector": [[1, 0], [0, 0]]},
+            {"value": 1.5, "vector": [[0, 0], [0, 1]]},
+        ],
+    },
+    "observable": [[[1, 0], [0, 0]], [[0, 0], [2, 0]]],
+    "state": {"vector": [[0.6, 0], [0, 0.8]]},
+    "density": {"matrix": [[[0.25, 0], [0, 0]], [[0, 0], [0.75, 0]]]},
+    "partition": {"distinguished": "a", "blocks": [["a", "z"], ["x"], ["y"]]},
+    "fockvector": {"coeffs": [[1, 0], [0, 0], [2, 0]]},
+    "fhoperator": {"support": ["d0"], "F": [[[0.5, 0]]], "tail": [0.25, 0], "symmetric": True},
+    "subspace": {"finite": [{"p": [1, 0]}], "cofinite_excluding": None},
+    "tensor": {"N": 2, "table": [[1, 0], [-1, 0], [-1, 0], [1, 0]]},
+    "flips": {"pairs": [1]},
+    "function": {"poly": [0.5, 1]},
+    "family": _VALID_FAMILY,
+}
+
+_READERS = {
+    "operator": ("concat", "--a", "@", "--b", "@operator"),
+    "eigensystem": ("spec", "--operator", "@"),
+    "observable": ("evolve", "--hamiltonian", "@", "--state", "@state", "--time", "0.5"),
+    "state": ("evolve", "--hamiltonian", "@observable", "--state", "@", "--time", "0.5"),
+    "density": ("compress", "--observable", "@observable", "--density", "@"),
+    "partition": None,
+    "fockvector": ("socks", "--support", "--vector", "@"),
+    "fhoperator": ("fh", "--refute", "--operator", "@"),
+    "subspace": ("lattice", "--op", "modular", "--a", "@", "--b", "@subspace", "--c", "@subspace"),
+    "tensor": ("socks", "--inner", "--a", "@", "--b", "@tensor"),
+    "flips": ("socks", "--flip", "@", "--vector", "@fockvector"),
+    "function": ("expect", "--observable", "@observable", "--density", "@density",
+                 "--function", "@"),
+    "family": ("measure", "--family", "@"),
+}
+
+# the messages of the ToleranceError subclasses
+_TOLERANCE_MESSAGE = re.compile(r"outside operator domain|out of tolerance|not invariant")
+
+
+def _run_reader(kind, path, base_dir):
+    argv = _READERS[kind]
+    if argv is None:
+        try:
+            serial.load_value(kind, str(path))
+        except ToleranceError as exc:
+            return Done(2, "", f"error: {exc}\n")
+        except (FinobsError, OSError) as exc:
+            return Done(1, "", f"error: {exc}\n")
+        return Done(0, "", "")
+    return run_cli(*(
+        str(path) if a == "@" else str(base_dir / f"{a[1:]}.json") if a.startswith("@") else a
+        for a in argv
+    ))
+
+
+@pytest.fixture(scope="module")
+def base_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("base")
+    for kind, doc in _BASE.items():
+        (directory / f"{kind}.json").write_text(json.dumps(doc))
+    return directory
+
+
+def test_fuzz_gate_covers_every_kind():
+    assert set(_READERS) == set(_BASE) == set(serial._LOADERS)
+
+
+@pytest.mark.parametrize("kind", sorted(_BASE))
+def test_fuzz_base_documents_load(kind, base_dir):
+    done = _run_reader(kind, base_dir / f"{kind}.json", base_dir)
+    assert (done.returncode, done.stderr) == (0, "")
+
+
+def _paths(node, prefix=()):
+    yield prefix
+    children = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ()
+    )
+    for key, child in children:
+        yield from _paths(child, prefix + (key,))
+
+
+def _junk(doc):
+    keys = {p[-1] for p in _paths(doc) if p and isinstance(p[-1], str)} | {"w"}
+    return st.recursive(
+        st.one_of(
+            st.none(),
+            st.booleans(),
+            st.integers(-3, 3),
+            st.floats(),  # NaN and the infinities included
+            st.sampled_from(["x", "y", "z", "a", "p", "d0", "0", "1", ""]),
+        ),
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=4),
+            st.dictionaries(st.sampled_from(sorted(keys)), inner, max_size=3),
+        ),
+        max_leaves=8,
+    )
+
+
+def _fuzzed(doc):
+    """A base document with one node replaced by junk, and maybe stray bytes."""
+
+    @st.composite
+    def documents(draw):
+        path = draw(paths)
+        data = json.dumps(_replace(json.loads(text), path, draw(junk))).encode()
+        if draw(st.integers(0, 3)) == 0:
+            at = draw(st.integers(0, len(data)))
+            data = data[:at] + draw(st.binary(min_size=1, max_size=3)) + data[at:]
+        return data
+
+    text = json.dumps(doc)
+    paths = st.sampled_from(list(_paths(doc)))
+    junk = _junk(doc)
+    return documents()
+
+
+_FUZZED = {kind: _fuzzed(doc) for kind, doc in _BASE.items()}
+
+
+@pytest.mark.parametrize("kind", sorted(_BASE))
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_fuzz_every_kind_never_tracebacks(kind, base_dir, data):
+    path = base_dir / f"fuzzed-{kind}.json"
+    path.write_bytes(data.draw(_FUZZED[kind]))
+    done = _run_reader(kind, path, base_dir)
+    assert done.returncode in (0, 1, 2), done.stderr
+    assert "Traceback" not in done.stderr
+    if done.returncode == 2:
+        assert _TOLERANCE_MESSAGE.search(done.stderr), done.stderr

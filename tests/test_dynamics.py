@@ -52,6 +52,13 @@ def test_evolve_rejects_states_outside_the_domain():
         evolve(partial, np.array([0.0, 1.0]), 1.0)
 
 
+@pytest.mark.parametrize("t", [np.inf, -np.inf, np.nan])
+def test_evolve_rejects_a_non_finite_time(t):
+    system = diagonalize(np.diag([0.0, np.pi]))
+    with pytest.raises(ValidationError, match="evolution time must be finite"):
+        evolve(system, np.array([1.0, 0.0]), t)
+
+
 def test_propagator_is_the_matrix_exponential():
     h = np.array([[1.0, 0.5], [0.5, -1.0]])
     system = diagonalize(h)

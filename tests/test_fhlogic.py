@@ -58,12 +58,10 @@ def test_finite_support_vector_rejects_non_finite_coordinates(value):
 
 
 def test_non_finite_vector_is_not_orthogonal_to_anything():
-    # a NaN overlap would pass the `> tol` test and report orthogonality
-    with pytest.raises(ValidationError, match="non-finite coordinate"):
-        is_orthogonal(
-            SymbolicSubspace((FiniteSupportVector({"q0": np.nan}),), None),
-            subspace([vec(q0=1.0)]),
-        )
+    # a NaN overlap would pass the `> tol` test and report orthogonality;
+    # the stored layout is built directly, past the constructors' checks
+    nan_space = SymbolicSubspace(("q0",), np.array([[np.nan]]))
+    assert is_orthogonal(nan_space, subspace([vec(q0=1.0)])) is False
 
 
 def test_subspace_of_a_non_finite_vector_fails_validation():

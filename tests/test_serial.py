@@ -1,5 +1,7 @@
 """JSON persistence: canonical output bytes and pointer-tagged errors."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,10 @@ from finobs.serial import (
     dumps_value,
     load_function,
     load_labeling_family,
+    load_value,
     loads_value,
+    save_value,
+    write_text,
 )
 from finobs.socks import SignedTensor, TruncatedFockVector, generator_tensor
 
@@ -203,3 +208,44 @@ def test_subspace_loader_keeps_canonical_floats():
     assert dumps_value("subspace", reloaded) == first
     # the loaded coordinates are the stored ones, not re-orthonormalized
     assert reloaded.finite[0].entries == space.finite[0].entries
+
+
+def test_observable_is_an_eigensystem_or_a_matrix_to_diagonalize():
+    matrix = np.array([[2.0, 1.0], [1.0, 2.0]])
+    from_matrix = loads_value("observable", dumps_value("operator", matrix))
+    stored = dumps_value("eigensystem", diagonalize(matrix))
+    assert dumps_value("eigensystem", from_matrix) == stored
+    partial = from_eigenpairs([(1.5, np.array([0.0, 1.0]))], 2)
+    from_dict = loads_value("observable", dumps_value("eigensystem", partial))
+    assert dumps_value("eigensystem", from_dict) == dumps_value("eigensystem", partial)
+
+
+def test_input_only_kinds_load_but_have_no_saver():
+    assert loads_value("function", '{"poly": [1, 2]}')(3.0) == 7.0
+    objects, _, family = loads_value(
+        "family",
+        '{"objects": ["x"], "distinguished": "a", "labels": ["0"],'
+        ' "labelings": [{"entries": {"x": "0"}}]}',
+    )
+    assert objects.elements == ("x",) and len(family) == 1
+    for kind in ("observable", "function", "family"):
+        with pytest.raises(ValidationError, match="unknown kind"):
+            dumps_value(kind, None)
+
+
+def test_invalid_json_names_the_file_it_came_from(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text("{", encoding="utf-8")
+    with pytest.raises(SchemaError, match=r"^/: invalid JSON: "):
+        loads_value("state", "{")
+    with pytest.raises(SchemaError, match=rf"^/: invalid JSON in {re.escape(str(path))}: "):
+        load_value("state", str(path))
+
+
+def test_write_text_goes_to_the_file_or_stdout(tmp_path, capsys):
+    path = tmp_path / "out.json"
+    text = save_value("state", np.array([0.6, 0.8j]), str(path))
+    assert path.read_text(encoding="utf-8") == text
+    assert capsys.readouterr().out == ""
+    write_text(text, None)
+    assert capsys.readouterr().out == text
