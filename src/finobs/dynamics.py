@@ -9,7 +9,7 @@ all reduce to spectral bookkeeping on dense matrices.
 import numpy as np
 
 from . import finitary, numeric
-from .errors import OutsideDomain, ToleranceError, ValidationError
+from .errors import ToleranceError, ValidationError
 from .finitary import EigenSystem, check_hermitian
 
 
@@ -37,9 +37,20 @@ def check_unitary(u):
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {u.shape}")
-    if not numeric.within(u.conj().T @ u - np.eye(u.shape[0]), numeric.UNITARY):
+    if not numeric.orthonormal(u.T, numeric.UNITARY):
         raise ValidationError("matrix is not unitary within tolerance")
     return u
+
+
+def _phases(system, t):
+    """exp(-i value t) per eigenvalue; t and every value * t must be finite."""
+    if not np.isfinite(t):
+        raise ValidationError(f"evolution time must be finite, got {t}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        phases = np.exp(-1j * system.values * float(t))
+    if not np.isfinite(phases).all():
+        raise ValidationError(f"evolution phase overflows at time {t}")
+    return phases
 
 
 def evolve(system, psi0, t):
@@ -48,21 +59,15 @@ def evolve(system, psi0, t):
     psi0 must be a unit vector inside the operator domain and t a
     finite time; each eigencomponent is rotated by exp(-i value t).
     """
-    if not np.isfinite(t):
-        raise ValidationError(f"evolution time must be finite, got {t}")
-    psi0 = check_state(psi0)
-    coeff, resid = finitary._expand(system.vectors, psi0)
-    if not numeric.within(resid, numeric.DOMAIN * np.linalg.norm(psi0)):
-        raise OutsideDomain(resid)
-    return (coeff * np.exp(-1j * system.values * float(t))) @ system.vectors
+    phases = _phases(system, t)
+    return (finitary._domain_coefficients(system, check_state(psi0)) * phases) @ system.vectors
 
 
 def propagator(system, t):
     """Unitary exp(-i A t) of a full operator as a dense matrix."""
     if not system.is_full():
         raise ValidationError("propagator needs a full operator")
-    phases = np.exp(-1j * system.values * float(t))
-    return (system.vectors.T * phases) @ system.vectors.conj()
+    return (system.vectors.T * _phases(system, t)) @ system.vectors.conj()
 
 
 def _spectral_projectors(system):
@@ -70,7 +75,7 @@ def _spectral_projectors(system):
     values, vectors = system.values, system.vectors
     return [
         (float(np.mean(values[start:stop])), vectors[start:stop].T @ vectors[start:stop].conj())
-        for start, stop in numeric.clusters(values, finitary.tol_dedup(system.norm()))
+        for start, stop in numeric.clusters(values, numeric.tol_dedup(system.norm()))
     ]
 
 
@@ -157,19 +162,18 @@ def variance(operator, w):
     return float(np.vdot(sw, sw).real - mean * mean)
 
 
-def subspace_intersection(basis1, basis2, tol=numeric.ANGLE):
+def subspace_intersection(basis1, basis2):
     """Orthonormal basis of the intersection of two orthonormal spans.
 
-    Directions whose principal correlation falls within `tol` of 1 are
-    counted as shared.
+    Directions whose principal correlation falls within numeric.ANGLE
+    of 1 are counted as shared.
     """
     q1 = np.atleast_2d(np.asarray(basis1, dtype=complex))
     q2 = np.atleast_2d(np.asarray(basis2, dtype=complex))
     for q in (q1, q2):
-        gram = q @ q.conj().T
-        if not numeric.within(gram - np.eye(q.shape[0]), numeric.ORTH):
+        if not numeric.orthonormal(q, numeric.ORTH):
             raise ValidationError("input basis is not orthonormal")
-    return numeric.intersect_rows(q1, q2, tol)
+    return numeric.intersect_rows(q1, q2, numeric.ANGLE)
 
 
 def complementarity_pair(dim, alphas, rotation_seed=42):

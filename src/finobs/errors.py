@@ -52,19 +52,17 @@ class UnorderedLabels(ValidationError):
 class OutsideDomain(ToleranceError):
     """Vector fails the operator domain test; carries the residual norm."""
 
-    def __init__(self, residual, message=None):
+    def __init__(self, residual):
         self.residual = float(residual)
-        super().__init__(
-            message or f"vector outside operator domain, residual {self.residual:.3e}"
-        )
+        super().__init__(f"vector outside operator domain, residual {self.residual:.3e}")
 
 
 class NotInvariant(ToleranceError):
     """Subspace is not invariant; `witness` is a vector mapped outside."""
 
-    def __init__(self, witness, message=None):
+    def __init__(self, witness):
         self.witness = witness
-        super().__init__(message or "subspace is not invariant under the operator")
+        super().__init__("subspace is not invariant under the operator")
 
 
 class NotCommeasurable(ValidationError):

@@ -120,7 +120,7 @@ def canonicalize(op, tol=0.0):
     return FHOperator(support, block, op.tail, op.symmetric)
 
 
-def zero_sum_compatible(op, tol=numeric.ZERO_SUM):
+def zero_sum_compatible(op):
     """Does the operator preserve vanishing coordinate sums?
 
     Holds exactly when every column of the block sums to the tail
@@ -129,7 +129,7 @@ def zero_sum_compatible(op, tol=numeric.ZERO_SUM):
     """
     sums = np.sum(op.block, axis=0)
     scale = max(1.0, abs(op.tail), float(np.max(np.abs(op.block), initial=0.0)))
-    return numeric.within(sums - op.tail, tol * scale)
+    return numeric.within(sums - op.tail, numeric.ZERO_SUM * scale)
 
 
 def fh_to_matrix(op, atoms):
@@ -151,7 +151,7 @@ def fh_to_matrix(op, atoms):
     return out
 
 
-def decompose_equivariant(matrix, atoms, tol=numeric.EQUIVARIANT):
+def decompose_equivariant(matrix, atoms):
     """Recover finite-block form from a concrete truncation.
 
     Finds the smallest support such that the matrix commutes with every
@@ -172,17 +172,14 @@ def decompose_equivariant(matrix, atoms, tol=numeric.EQUIVARIANT):
         raise ValidationError("matrix entries must be finite")
 
     off = np.abs(matrix - np.diag(np.diag(matrix)))
-    isolated = [
-        i for i in range(m) if numeric.within(max(np.max(off[i, :]), np.max(off[:, i])), tol)
-    ]
-    if len(isolated) < 2:
-        raise NotEquivariant("no scalar tail pattern of size two or more")
+    largest_off = np.maximum(np.max(off, axis=1), np.max(off, axis=0))
+    isolated = [i for i in range(m) if numeric.within(largest_off[i], numeric.EQUIVARIANT)]
 
     # cluster the isolated diagonal values, largest cluster wins
     diag = np.real_if_close(np.diag(matrix))
     ordered = sorted(isolated, key=lambda i: (diag[i].real, diag[i].imag, i))
-    runs = numeric.clusters(np.diag(matrix)[ordered], tol)
-    outside = max((ordered[start:stop] for start, stop in runs), key=len)
+    runs = numeric.clusters(np.diag(matrix)[ordered], numeric.EQUIVARIANT)
+    outside = max((ordered[start:stop] for start, stop in runs), key=len, default=[])
     if len(outside) < 2:
         raise NotEquivariant("no scalar tail pattern of size two or more")
     outside = sorted(outside)
@@ -193,7 +190,7 @@ def decompose_equivariant(matrix, atoms, tol=numeric.EQUIVARIANT):
     for u, v in combinations(outside, 2):
         perm = list(range(m))
         perm[u], perm[v] = perm[v], perm[u]
-        if not numeric.within(matrix[np.ix_(perm, perm)] - matrix, tol):
+        if not numeric.within(matrix[np.ix_(perm, perm)] - matrix, numeric.EQUIVARIANT):
             raise NotEquivariant(
                 f"transposition of atoms {atoms[u]!r}, {atoms[v]!r} moves the matrix"
             )
@@ -204,17 +201,17 @@ def decompose_equivariant(matrix, atoms, tol=numeric.EQUIVARIANT):
     rows = [keep[i] for i in order]
     block = matrix[np.ix_(rows, rows)]
     symmetric = numeric.within(matrix - matrix.conj().T, numeric.HERMITIAN)
-    return canonicalize(FHOperator(support, block, tail, symmetric), tol=tol)
+    return canonicalize(FHOperator(support, block, tail, symmetric), tol=numeric.EQUIVARIANT)
 
 
-def represent_functional(samples, window, tol=numeric.PROBE):
+def represent_functional(samples, window):
     """Recover (support, weights) of a zero-sum functional from probes.
 
     `samples` maps ordered atom pairs (a, b) to the functional applied
     to the difference vector e_a - e_b; at least one orientation per
     pair over `window` must be present.  The weights g satisfy
     f(e_a - e_b) = g(a) - g(b) with g zero off the support; atoms whose
-    probes disagree beyond `tol` raise Inconsistent.
+    probes disagree beyond numeric.PROBE raise Inconsistent.
     """
     if not all(cmath.isfinite(complex(v)) for v in samples.values()):
         raise ValidationError("samples must be finite")
@@ -236,7 +233,7 @@ def represent_functional(samples, window, tol=numeric.PROBE):
     # of equal shifted values; cluster by transitive tolerance-closeness
     close = [
         (a, b) for a in window for b in window
-        if a < b and numeric.within(abs(shifted[a] - shifted[b]), tol)
+        if a < b and numeric.within(abs(shifted[a] - shifted[b]), numeric.PROBE)
     ]
     zero_class = max(numeric.components(window, close), key=len)
     if len(zero_class) < 2:
@@ -249,11 +246,11 @@ def represent_functional(samples, window, tol=numeric.PROBE):
             continue
         values = [probe(a, z) for z in zero_class]
         spread = max(abs(v - values[0]) for v in values)
-        if not numeric.within(spread, tol):
+        if not numeric.within(spread, numeric.PROBE):
             raise Inconsistent(
                 f"probe f(e_{a} - e_b) varies by {spread:.3e} over the zero class"
             )
-        if not numeric.within(abs(values[0]), tol):
+        if not numeric.within(abs(values[0]), numeric.PROBE):
             weights[a] = values[0]
 
     support = tuple(sorted(weights))
@@ -265,7 +262,7 @@ def represent_functional(samples, window, tol=numeric.PROBE):
             if (a, b) not in samples and (b, a) not in samples:
                 continue
             predicted = weights.get(a, 0.0) - weights.get(b, 0.0)
-            if not numeric.within(abs(probe(a, b) - predicted), 10 * tol):
+            if not numeric.within(abs(probe(a, b) - predicted), 10 * numeric.PROBE):
                 raise Inconsistent(
                     f"sample for ({a!r}, {b!r}) conflicts with the recovered weights"
                 )
@@ -329,12 +326,12 @@ def _touched(rows, window):
     return rows[:, keep], [a for a, k in zip(window, keep) if k]
 
 
-def _inside(rows, tol):
+def _inside(rows):
     """Mask of the atoms whose basis vector lies in the span of orthonormal `rows`."""
-    return np.sum(np.abs(rows) ** 2, axis=0) >= 1.0 - 10 * tol
+    return np.sum(np.abs(rows) ** 2, axis=0) >= 1.0 - 10 * numeric.SPAN
 
 
-def _canonical(rows, window, cofinite, tol):
+def _canonical(rows, window, cofinite):
     """Canonical SymbolicSubspace spanned by `rows` over the sorted list
     `window`, plus the full space off the window when `cofinite`.
 
@@ -344,8 +341,8 @@ def _canonical(rows, window, cofinite, tol):
     if not cofinite:
         rows, window = _touched(rows, window)
     rows = numeric.orth_rows(rows)
-    while cofinite and _inside(rows, tol).any():
-        pos = int(np.argmax(_inside(rows, tol)))
+    while cofinite and _inside(rows).any():
+        pos = int(np.argmax(_inside(rows)))
         # the deflation, not a plain column slice, sets the signs of the zeros the SVD sees
         deflated = rows - np.outer(rows[:, pos], np.eye(len(window), dtype=complex)[pos])
         keep = [i for i in range(len(window)) if i != pos]
@@ -357,7 +354,11 @@ def _canonical(rows, window, cofinite, tol):
     return SymbolicSubspace(tuple(window), rows, cofinite)
 
 
-def subspace(vectors, exclude=None, tol=numeric.SPAN):
+def _as_vectors(vectors):
+    return [v if isinstance(v, FiniteSupportVector) else FiniteSupportVector(v) for v in vectors]
+
+
+def subspace(vectors, exclude=None):
     """Canonical SymbolicSubspace from spanning vectors and an optional
     excluded atom window.
 
@@ -365,38 +366,32 @@ def subspace(vectors, exclude=None, tol=numeric.SPAN):
     absorbed by the cofinite component; excluded atoms whose basis
     vector ends up inside the span are released from the exclusion set.
     """
-    vectors = [
-        v if isinstance(v, FiniteSupportVector) else FiniteSupportVector(v)
-        for v in vectors
-    ]
+    vectors = _as_vectors(vectors)
     if exclude is None:
         window = sorted({a for v in vectors for a in v.support()})
     else:
         window = sorted(str(a) for a in exclude)
         if len(set(window)) != len(window):
             raise ValidationError("excluded atoms must be distinct")
-    return _canonical(_vectors_to_rows(vectors, window), window, exclude is not None, tol)
+    return _canonical(_vectors_to_rows(vectors, window), window, exclude is not None)
 
 
-def checked_subspace(vectors, exclude, tol=numeric.SPAN):
+def checked_subspace(vectors, exclude):
     """SymbolicSubspace from data already in canonical shape.
 
     Validates without renormalizing, so stored coordinates survive a
     load/save cycle byte for byte.  Returns None when the data is not
     canonical; callers then fall back to `subspace`.
     """
-    vectors = tuple(
-        v if isinstance(v, FiniteSupportVector) else FiniteSupportVector(v)
-        for v in vectors
-    )
+    vectors = _as_vectors(vectors)
     atoms = {a for v in vectors for a in v.support()}
     window = sorted(atoms) if exclude is None else [str(a) for a in exclude]
     if window != sorted(set(window)) or not atoms <= set(window):
         return None
     rows = _vectors_to_rows(vectors, window)
-    if not numeric.within(rows @ rows.conj().T - np.eye(len(vectors)), tol):
+    if not numeric.orthonormal(rows, numeric.SPAN):
         return None
-    if exclude is not None and np.any(_inside(rows, tol)):
+    if exclude is not None and np.any(_inside(rows)):
         return None
     return SymbolicSubspace(tuple(window), rows, exclude is not None)
 
@@ -414,7 +409,7 @@ def _joint_window(s1, s2):
     return sorted(set(s1.window) | set(s2.window))
 
 
-def subspace_meet(s1, s2, tol=numeric.SPAN):
+def subspace_meet(s1, s2):
     """Lattice meet: the intersection, computed inside a shared window."""
     window = _joint_window(s1, s2)
     r1 = _full_rows(s1, window)
@@ -422,29 +417,29 @@ def subspace_meet(s1, s2, tol=numeric.SPAN):
     if r1.shape[0] == 0 or r2.shape[0] == 0:
         shared = np.zeros((0, len(window)), dtype=complex)
     else:
-        shared = numeric.intersect_rows(r1, r2, tol)
-    return _canonical(_drop_small(shared), window, s1.cofinite and s2.cofinite, tol)
+        shared = numeric.intersect_rows(r1, r2, numeric.SPAN)
+    return _canonical(_drop_small(shared), window, s1.cofinite and s2.cofinite)
 
 
-def subspace_join(s1, s2, tol=numeric.SPAN):
+def subspace_join(s1, s2):
     """Lattice join: the closed sum, always inside the subspace class."""
     window = _joint_window(s1, s2)
     stacked = np.vstack([_full_rows(s1, window), _full_rows(s2, window)])
     rows = _drop_small(numeric.orth_rows(stacked))
-    return _canonical(rows, window, s1.cofinite or s2.cofinite, tol)
+    return _canonical(rows, window, s1.cofinite or s2.cofinite)
 
 
-def subspace_equal(s1, s2, tol=numeric.SPAN_EQUAL):
+def subspace_equal(s1, s2):
     """Equality of canonical forms: same exclusion set, same finite span."""
     if s1.exclude != s2.exclude or len(s1.rows) != len(s2.rows):
         return False
     window = _joint_window(s1, s2)
     r1 = _rows_over(s1, window)
     r2 = _rows_over(s2, window)
-    return numeric.within(r1.conj().T @ r1 - r2.conj().T @ r2, tol)
+    return numeric.within(r1.conj().T @ r1 - r2.conj().T @ r2, numeric.SPAN_EQUAL)
 
 
-def is_orthogonal(s1, s2, tol=numeric.SPAN):
+def is_orthogonal(s1, s2):
     """Orthogonality in the ambient space, cofinite parts included.
 
     Two subspaces with cofinite components always share directions far
@@ -456,7 +451,7 @@ def is_orthogonal(s1, s2, tol=numeric.SPAN):
     window = _joint_window(s1, s2)
     r1 = _rows_over(s1, window)
     r2 = _rows_over(s2, window)
-    if not numeric.within(r1.conj() @ r2.T, tol):
+    if not numeric.within(r1.conj() @ r2.T, numeric.SPAN):
         return False
     finite_side, other = (s2, s1) if s1.cofinite else (s1, s2)
     # a finite span misses a cofinite part only if its window lies in the exclusion set

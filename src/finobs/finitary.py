@@ -7,6 +7,7 @@ diagonalization, functional calculus) is derived from that data.
 """
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -18,19 +19,6 @@ from .errors import (
     ToleranceError,
     ValidationError,
 )
-
-
-def tol_eig(scale):
-    """Residual tolerance for eigen equations at the given operator norm."""
-    return numeric.EIG * (1.0 + float(scale))
-
-
-def tol_comm(norm_a, norm_b):
-    return numeric.COMM * (1.0 + float(norm_a) * float(norm_b))
-
-
-def tol_dedup(value_scale):
-    return numeric.DEDUP * (1.0 + float(value_scale))
 
 
 def _vector_key(v):
@@ -46,7 +34,7 @@ def _canonical_order(values, vectors):
     values = values[order]
     vectors = vectors[order]
     pieces = []
-    for start, stop in numeric.clusters(values, tol_dedup(np.max(np.abs(values)))):
+    for start, stop in numeric.clusters(values, numeric.tol_dedup(np.max(np.abs(values)))):
         group = list(range(start, stop))
         if len(group) > 1:
             group.sort(key=lambda j: _vector_key(vectors[j]))
@@ -88,8 +76,7 @@ class EigenSystem:
         if not np.all(np.isfinite(values)):
             raise ValidationError("eigenvalues must be finite")
         if len(values):
-            gram = vectors @ vectors.conj().T
-            if not numeric.within(gram - np.eye(len(values)), numeric.ORTH):
+            if not numeric.orthonormal(vectors, numeric.ORTH):
                 raise ValidationError("eigenvectors are not orthonormal")
             values, vectors = _canonical_order(values, vectors)
         object.__setattr__(self, "values", values)
@@ -113,11 +100,11 @@ class EigenSystem:
         return (self.vectors.T * self.values) @ self.vectors.conj()
 
 
-def check_hermitian(m, tol=numeric.HERMITIAN):
+def check_hermitian(m):
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {m.shape}")
-    if not numeric.within(m - m.conj().T, tol):
+    if not numeric.within(m - m.conj().T, numeric.HERMITIAN):
         raise ValidationError("matrix is not Hermitian within tolerance")
     return m
 
@@ -126,14 +113,14 @@ def diagonalize(m):
     """Full EigenSystem of a Hermitian matrix.
 
     Eigenvectors come out orthonormal and the eigen residuals are
-    checked against tol_eig at the matrix norm.
+    checked against numeric.tol_eig at the matrix norm.
     """
     m = check_hermitian(m)
     w, v = np.linalg.eigh(m)
     system = EigenSystem(m.shape[0], w, v.T)
     vectors = system.vectors.T
     resid = np.max(np.linalg.norm(m @ vectors - vectors * system.values, axis=0), initial=0.0)
-    if not numeric.within(resid, tol_eig(system.norm())):
+    if not numeric.within(resid, numeric.tol_eig(system.norm())):
         raise ToleranceError(f"eigen residual {resid:.3e} out of tolerance")
     return system
 
@@ -170,21 +157,25 @@ def _expand(basis, x):
     return coeff, np.linalg.norm(x - coeff @ basis)
 
 
-def apply(system, x):
-    """Apply the operator; x must lie in the eigenvector span.
-
-    Raises OutsideDomain with the residual when the projection onto the
-    domain misses x by more than numeric.DOMAIN relative to |x|.
-    """
+def _domain_coefficients(system, x):
+    """Coefficients of x; OutsideDomain if the domain misses x by over DOMAIN |x|."""
     coeff, resid = _expand(system.vectors, x)
     if not numeric.within(resid, numeric.DOMAIN * np.linalg.norm(x)):
         raise OutsideDomain(resid)
-    return (coeff * system.values) @ system.vectors
+    return coeff
+
+
+def apply(system, x):
+    """Apply the operator; x must lie in the eigenvector span."""
+    return (_domain_coefficients(system, x) * system.values) @ system.vectors
 
 
 def in_domain(system, x):
-    coeff, resid = _expand(system.vectors, x)
-    return numeric.within(resid, numeric.DOMAIN * max(np.linalg.norm(x), numeric.NORM_FLOOR))
+    try:
+        _domain_coefficients(system, x)
+    except OutsideDomain:
+        return False
+    return True
 
 
 def orbit_span_dim(m, x, cap):
@@ -256,9 +247,7 @@ def project(span_vectors, x):
 
 
 def _domains_match(a, b):
-    if a.count != b.count:
-        return False
-    return all(numeric.within(_expand(b.vectors, q)[1], numeric.DOMAIN) for q in a.vectors)
+    return a.count == b.count and all(in_domain(b, q) for q in a.vectors)
 
 
 def commeasurable(systems):
@@ -269,20 +258,16 @@ def commeasurable(systems):
     d = systems[0].ambient_dim
     if any(s.ambient_dim != d for s in systems):
         raise ValidationError("operators have different ambient dimensions")
-    for i in range(len(systems)):
-        for j in range(i + 1, len(systems)):
-            if not _domains_match(systems[i], systems[j]):
-                return False
+    if not all(_domains_match(a, b) for a, b in combinations(systems, 2)):
+        return False
     if not systems[0].count:
         return True
     basis = systems[0].vectors
     mats = [s.matrix() for s in systems]
-    for i in range(len(systems)):
-        for j in range(i + 1, len(systems)):
-            comm = mats[i] @ mats[j] - mats[j] @ mats[i]
-            residuals = np.linalg.norm(comm @ basis.T, axis=0)
-            if not numeric.within(residuals, tol_comm(systems[i].norm(), systems[j].norm())):
-                return False
+    for (a, ma), (b, mb) in combinations(zip(systems, mats), 2):
+        residuals = np.linalg.norm((ma @ mb - mb @ ma) @ basis.T, axis=0)
+        if not numeric.within(residuals, numeric.tol_comm(a.norm(), b.norm())):
+            return False
     return True
 
 
@@ -291,7 +276,7 @@ def joint_eigensystem(systems):
 
     Returns a list of (vector, values) with one eigenvalue per operator,
     obtained by recursively splitting eigenspaces.  Near-degenerate
-    eigenvalues are clustered at tol_dedup of the value scale.
+    eigenvalues are clustered at numeric.tol_dedup of the value scale.
     """
     systems = list(systems)
     if not commeasurable(systems):
@@ -299,9 +284,9 @@ def joint_eigensystem(systems):
     if not systems[0].count:
         return []
     blocks = [systems[0].vectors]
-    for system in systems:
-        m = system.matrix()
-        td = tol_dedup(system.norm())
+    mats = [s.matrix() for s in systems]
+    for system, m in zip(systems, mats):
+        td = numeric.tol_dedup(system.norm())
         refined = []
         for block in blocks:
             compressed = block.conj() @ m @ block.T
@@ -310,12 +295,10 @@ def joint_eigensystem(systems):
             rows = u.T @ block
             refined.extend(rows[start:stop] for start, stop in numeric.clusters(w, td))
         blocks = refined
-    mats = [s.matrix() for s in systems]
-    out = []
-    for block in blocks:
-        for v in block:
-            tup = tuple(float(np.real(np.vdot(v, m @ v))) for m in mats)
-            out.append((v, tup))
+    out = [
+        (v, tuple(float(np.real(np.vdot(v, m @ v))) for m in mats))
+        for block in blocks for v in block
+    ]
     out.sort(key=lambda item: (tuple(round(t, 10) for t in item[1]), _vector_key(item[0])))
     return out
 
@@ -360,11 +343,10 @@ class Polynomial:
         return len(self.coeffs) - 1
 
 
-def deduplicate_values(values, td=None):
+def deduplicate_values(values):
     """Cluster sorted eigenvalues by gap and return one mean per cluster."""
     values = np.sort(np.asarray(values, dtype=float))
-    if td is None:
-        td = tol_dedup(np.max(np.abs(values), initial=0.0))
+    td = numeric.tol_dedup(np.max(np.abs(values), initial=0.0))
     return [float(np.mean(values[start:stop])) for start, stop in numeric.clusters(values, td)]
 
 
@@ -399,7 +381,7 @@ def is_extension(full_system, partial_system):
     if full_system.ambient_dim != partial_system.ambient_dim:
         raise ValidationError("operators have different ambient dimensions")
     m = full_system.matrix()
-    tol = tol_eig(full_system.norm())
+    tol = numeric.tol_eig(full_system.norm())
     for value, vector in zip(partial_system.values, partial_system.vectors):
         if not numeric.within(np.linalg.norm(m @ vector - value * vector), tol):
             return False
@@ -426,14 +408,14 @@ def joint_generator(systems):
     return generator, tables
 
 
-def table_function(table, tol=numeric.TABLE_MATCH):
+def table_function(table):
     """Callable looking a value up in a finite table of sample points."""
     points = sorted(table.items())
 
     def evaluate(x):
         for key, val in points:
-            if numeric.within(abs(x - key), tol):
+            if numeric.within(abs(x - key), numeric.TABLE_MATCH):
                 return val
-        raise ValidationError(f"no table entry within {tol} of {x}")
+        raise ValidationError(f"no table entry within {numeric.TABLE_MATCH} of {x}")
 
     return evaluate

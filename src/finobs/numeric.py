@@ -1,10 +1,11 @@
 """Tolerance table and the numerical kernels the modules share.
 
 Every tolerance the library compares a residual with is named here,
-once, with what it guards.  The values are fixed: public `tol=`
-parameters default to them, and nothing else sets them.  Residuals meet
-them only in `within`, which a NaN residual fails; the `verify` pass
-thresholds are separate on purpose, as an independent reference.
+once, with what it guards, and so is each rule scaling one by the data
+(`tol_eig`, `tol_comm`, `tol_dedup`).  Callers read them where they are
+used; outside this module only `fhlogic.canonicalize` takes a tolerance.
+Residuals meet them only in `within`, which a NaN residual fails; the
+`verify` pass thresholds are separate, as an independent reference.
 """
 
 import numpy as np
@@ -13,11 +14,10 @@ HERMITIAN = 1e-9  # largest |M - M*| entry of a Hermitian matrix
 REAL = 1e-12  # imaginary part of a real eigenvalue or tail, per unit of 1 + |value|
 ORTH = 1e-9  # largest |V V* - I| entry of orthonormal rows
 DOMAIN = 1e-8  # distance from x to an operator domain, per unit of |x|
-NORM_FLOOR = 1e-300  # |x| used by the domain test at x = 0, so 0 is inside
 EIG = 1e-8  # eigen residual, per unit of 1 + operator norm
 COMM = 1e-8  # commutator residual, per unit of 1 + |A| |B|
 DEDUP = 1e-8  # eigenvalue gap still inside one cluster, per unit of 1 + largest |value|
-SPAN = 1e-9  # rank cut-off per unit of max(s[0], 1); default tol of the subspace lattice
+SPAN = 1e-9  # rank cut-off per unit of max(s[0], 1); lattice angle, release and overlap cut-off
 KRYLOV = 1e-9  # deflated unit orbit vector length at which the orbit stops growing
 TABLE_MATCH = 1e-6  # distance at which a sample point answers a function lookup
 STATE = 1e-9  # deviation of |psi| from 1
@@ -36,11 +36,31 @@ SUPPORT = 1e-12  # coefficient magnitude of a live Fock component
 ALTERNATION = 1e-12  # sign-law mismatch in a signed tensor, per unit of max(|entry|, 1)
 
 
+def tol_eig(scale):
+    """Residual tolerance for eigen equations at the given operator norm."""
+    return EIG * (1.0 + float(scale))
+
+
+def tol_comm(norm_a, norm_b):
+    return COMM * (1.0 + float(norm_a) * float(norm_b))
+
+
+def tol_dedup(value_scale):
+    return DEDUP * (1.0 + float(value_scale))
+
+
 def within(residual, tol):
     """residual <= tol, False for NaN; an array counts as its largest |entry| (0 if empty)."""
     if isinstance(residual, np.ndarray):
         residual = np.max(np.abs(residual), initial=0.0)
     return bool(residual <= tol)
+
+
+def orthonormal(rows, tol):
+    """Are the rows orthonormal within `tol`?  A Gram product that overflows is not."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = rows @ rows.conj().T
+    return within(gram - np.eye(len(rows)), tol)
 
 
 def live(values, tol):

@@ -242,13 +242,13 @@ def flip(action, v):
     return TruncatedFockVector(signs * v.coeffs)
 
 
-def least_support(v, tol=numeric.SUPPORT):
+def least_support(v):
     """Pair indices a flip can see: 0..N*-1 for the last live component N*.
 
     The zero vector (and anything supported on u_0 alone) has empty
     support.
     """
-    live = np.nonzero(numeric.live(v.coeffs, tol))[0]
+    live = np.nonzero(numeric.live(v.coeffs, numeric.SUPPORT))[0]
     if len(live) == 0:
         return set()
     return set(range(int(live[-1])))

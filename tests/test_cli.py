@@ -13,6 +13,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from typing import NamedTuple
 
@@ -475,6 +476,33 @@ def test_evolve_rejects_a_non_finite_time(workdir):
     for t in ("inf", "nan", "-inf"):
         done = run_cli("evolve", "--hamiltonian", ham, "--state", state, f"--time={t}")
         assert done == (1, "", f"error: evolution time must be finite, got {t}\n")
+
+
+def test_overflowing_inputs_exit_1_without_numpy_warnings(workdir):
+    _, write = workdir
+    ham = write("h.json", "[[[2, 0]]]")
+    state = write("psi.json", '{"vector": [[1, 0]]}')
+    huge = write("eig.json", json.dumps({"ambient_dim": 2, "pairs": [
+        {"value": 0.5, "vector": [[1e160, 0], [0, 0]]},
+        {"value": 1.5, "vector": [[0, 0], [0, 1]]},
+    ]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        done = run_cli("evolve", "--hamiltonian", ham, "--state", state, "--time=1e308")
+        assert done == (1, "", "error: evolution phase overflows at time 1e+308\n")
+        done = run_cli("spec", "--operator", huge)
+        assert done == (1, "", "error: eigenvectors are not orthonormal\n")
+
+
+def test_a_stored_subspace_whose_gram_overflows_is_recanonicalized(workdir):
+    _, write = workdir
+    big = write("big.json", '{"finite": [{"q0": [1e160, 0]}], "cofinite_excluding": null}')
+    one = write("one.json", '{"finite": [{"q0": [1, 0]}], "cofinite_excluding": null}')
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        done = run_cli("lattice", "--op", "equal", "--a", big, "--b", one)
+    assert done.returncode == 0 and done.stderr == ""
+    assert json.loads(done.stdout) == {"equal": True}
 
 
 def test_invalid_json_names_the_file(workdir):

@@ -1,5 +1,7 @@
 """Evolution, expectations, concatenation, and the uncertainty pair."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -57,6 +59,25 @@ def test_evolve_rejects_a_non_finite_time(t):
     system = diagonalize(np.diag([0.0, np.pi]))
     with pytest.raises(ValidationError, match="evolution time must be finite"):
         evolve(system, np.array([1.0, 0.0]), t)
+
+
+@pytest.mark.parametrize("t", [np.inf, -np.inf, np.nan])
+def test_propagator_rejects_a_non_finite_time(t):
+    with pytest.raises(ValidationError, match="evolution time must be finite"):
+        propagator(diagonalize(np.diag([0.0, 2.0])), t)
+
+
+def test_an_overflowing_phase_is_rejected_without_numpy_warnings():
+    system = diagonalize(np.diag([0.0, 2.0]))
+    psi0 = np.array([1.0, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # 2 * 1e307 is still finite, 2 * 1e308 is not
+        assert np.isclose(np.linalg.norm(evolve(system, psi0, 1e307)), 1.0)
+        with pytest.raises(ValidationError, match=r"evolution phase overflows at time 1e\+308"):
+            evolve(system, psi0, 1e308)
+        with pytest.raises(ValidationError, match="evolution phase overflows"):
+            propagator(system, -1e308)
 
 
 def test_propagator_is_the_matrix_exponential():

@@ -156,10 +156,10 @@ def test_decompose_rejects_matrices_without_a_tail():
 def test_decompose_rejects_a_tail_cluster_wider_than_tol():
     # gaps of 0.9 tol join b, c and d into one cluster, but b and d are
     # 1.8 tol apart, so swapping them moves the matrix
-    tol = 1e-10
+    tol = numeric.EQUIVARIANT
     matrix = np.diag([5.0, 0.0, 0.9 * tol, 1.8 * tol])
     with pytest.raises(NotEquivariant, match="transposition of atoms 'b', 'd' moves the matrix"):
-        decompose_equivariant(matrix, ["a", "b", "c", "d"], tol=tol)
+        decompose_equivariant(matrix, ["a", "b", "c", "d"])
 
 
 def linear_samples(weights, window):

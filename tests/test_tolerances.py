@@ -5,13 +5,19 @@ Any float literal below 1e-5 in a library module is taken for an inline
 tolerance, and any comparison with a tolerance on either side for a
 hand-written gate, which may let NaN through.  `verify` is exempt: its
 pass thresholds are the independent reference the library is checked
-against.
+against.  Outside `numeric`, no public function takes a tolerance but
+`canonicalize`, whose two values (0.0 and EQUIVARIANT) are both in use.
 """
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import pytest
+
+from finobs import finitary
+from finobs.errors import OutsideDomain
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "finobs"
 EXEMPT = {"numeric.py", "verify.py"}
@@ -86,3 +92,48 @@ def test_no_inline_tolerance_literals(path):
 def test_no_tolerance_comparisons_outside_within(path):
     lines = tolerance_comparisons(path.read_text(encoding="utf-8"))
     assert lines == [], f"compare through numeric.within: {path.name} lines {lines}"
+
+
+def public_callables():
+    """(qualified name, callable) for every public function and method of the
+    library; `numeric` is left out, since its kernels apply the tolerance passed in."""
+    for path in sorted(PACKAGE.glob("[!_]*.py")):
+        if path.name == "numeric.py":
+            continue
+        module = importlib.import_module(f"finobs.{path.stem}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                yield f"{path.stem}.{name}", obj
+            elif inspect.isclass(obj):
+                for attr, member in vars(obj).items():
+                    if inspect.isfunction(member) and not attr.startswith("_"):
+                        yield f"{path.stem}.{name}.{attr}", member
+
+
+def test_no_public_function_takes_a_tolerance():
+    taking = sorted(
+        name
+        for name, func in public_callables()
+        if {"tol", "td"} & set(inspect.signature(func).parameters)
+    )
+    assert taking == ["fhlogic.canonicalize"]
+
+
+@pytest.mark.parametrize(
+    "x", [[0.0, 0.0], [0.0, 1e-170], [1e-170, 1e-170], [0.0, 1e-160], [1e-160, 1e-160]]
+)
+def test_in_domain_and_apply_share_one_domain_gate(x):
+    # the domain is the first axis; entries this small underflow when squared
+    system = finitary.from_eigenpairs([(2.0, [1.0, 0.0])], 2)
+    try:
+        finitary.apply(system, x)
+        applied = True
+    except OutsideDomain:
+        applied = False
+    assert finitary.in_domain(system, x) is applied
+    if not any(x):
+        assert applied
+    if x[1] == 1e-160:
+        assert not applied
