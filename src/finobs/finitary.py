@@ -160,8 +160,15 @@ def _expand(basis, x):
 def _domain_coefficients(system, x):
     """Coefficients of x; OutsideDomain if the domain misses x by over DOMAIN |x|."""
     coeff, resid = _expand(system.vectors, x)
-    if not numeric.within(resid, numeric.DOMAIN * np.linalg.norm(x)):
-        raise OutsideDomain(resid)
+    norm, peak = np.linalg.norm(x), 1.0
+    if norm == 0.0 and np.any(x):
+        # |x|^2 underflowed, and the residual with it; the test is
+        # scale-free, so decide it on x / max|x|
+        peak = np.max(np.abs(x))
+        unit = np.divide(x, peak)
+        resid, norm = _expand(system.vectors, unit)[1], np.linalg.norm(unit)
+    if not numeric.within(resid, numeric.DOMAIN * norm):
+        raise OutsideDomain(resid * peak)
     return coeff
 
 

@@ -9,6 +9,8 @@ Every input is a kind of `_LOADERS`, read by `loads_value(kind, text)`
 or `load_value(kind, path)`, whose invalid-JSON error names the file.
 `observable`, `function` and `family` are input only, with no saver.
 `read_text` and `write_text` hold all of the command line's file I/O.
+Each loader imports the module that builds its type, so loading one
+kind does not import the whole library.
 """
 
 import json
@@ -18,10 +20,6 @@ import sys
 import numpy as np
 
 from .errors import SchemaError, ValidationError
-from .fhlogic import FHOperator, FiniteSupportVector, checked_subspace, subspace
-from .finitary import Polynomial, diagonalize, from_eigenpairs, table_function
-from .measurement import LabelSet, ObjectSet, PartialLabeling, PartitionPlus
-from .socks import SignedTensor, TruncatedFockVector
 
 # the largest `measure` input; a larger family is refused before any
 # labeling is built
@@ -157,6 +155,8 @@ def save_matrix(m):
 
 
 def load_eigensystem(node, ptr=""):
+    from .finitary import from_eigenpairs
+
     node = _as_object(node, ptr, ("ambient_dim", "pairs"))
     dim = node["ambient_dim"]
     if isinstance(dim, bool) or not isinstance(dim, int) or dim < 0:
@@ -187,6 +187,8 @@ def save_eigensystem(system):
 
 def load_observable(node, ptr=""):
     """A stored eigensystem, or a bare Hermitian matrix to diagonalize."""
+    from .finitary import diagonalize
+
     if isinstance(node, dict):
         return load_eigensystem(node, ptr)
     return diagonalize(load_matrix(node, ptr))
@@ -211,6 +213,8 @@ def save_density(rho):
 
 
 def load_partition(node, ptr=""):
+    from .measurement import ObjectSet, PartitionPlus
+
     node = _as_object(node, ptr, ("distinguished", "blocks"))
     distinguished = _need(node["distinguished"], str, f"{ptr}/distinguished", "a string")
     blocks_node = _need(node["blocks"], list, f"{ptr}/blocks", "a list of blocks")
@@ -239,6 +243,8 @@ def save_partition(partition):
 
 
 def load_fockvector(node, ptr=""):
+    from .socks import TruncatedFockVector
+
     node = _as_object(node, ptr, ("coeffs",))
     return TruncatedFockVector(_as_vector(node["coeffs"], f"{ptr}/coeffs"))
 
@@ -248,6 +254,8 @@ def save_fockvector(v):
 
 
 def load_tensor(node, ptr=""):
+    from .socks import SignedTensor
+
     node = _as_object(node, ptr, ("N", "table"))
     n = node["N"]
     if isinstance(n, bool) or not isinstance(n, int) or n < 0:
@@ -279,6 +287,8 @@ def save_flips(pairs):
 
 
 def load_fhoperator(node, ptr=""):
+    from .fhlogic import FHOperator
+
     node = _as_object(node, ptr, ("support", "F", "tail"), optional=("symmetric",))
     support_node = _need(node["support"], list, f"{ptr}/support", "a list of atom ids")
     support = tuple(
@@ -309,6 +319,8 @@ def save_fhoperator(op):
 
 
 def load_subspace(node, ptr=""):
+    from .fhlogic import FiniteSupportVector, checked_subspace, subspace
+
     node = _as_object(node, ptr, ("finite", "cofinite_excluding"))
     finite_node = _need(node["finite"], list, f"{ptr}/finite", "a list of vectors")
     vectors = []
@@ -347,6 +359,8 @@ def save_subspace(space):
 
 def load_function(node, ptr=""):
     """Real function given as polynomial coefficients or sample points."""
+    from .finitary import Polynomial, table_function
+
     node = _need(node, dict, ptr, "an object with 'poly' or 'points'")
     if "poly" in node and "points" in node:
         raise SchemaError(ptr, "give either 'poly' or 'points', not both")
@@ -370,6 +384,8 @@ def load_function(node, ptr=""):
 
 def load_labeling_family(node, ptr=""):
     """Inputs for the measure tool: object set, labels, labelings."""
+    from .measurement import LabelSet, ObjectSet, PartialLabeling
+
     node = _as_object(node, ptr, ("objects", "distinguished", "labels", "labelings"))
     objects_node = _need(node["objects"], list, f"{ptr}/objects", "a list of ids")
     if len(objects_node) > MAX_FAMILY_OBJECTS:

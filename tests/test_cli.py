@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finobs import cli, serial
+from finobs import cli, serial, verify
 from finobs.errors import FinobsError, ToleranceError
 from finobs.serial import MAX_FAMILY_ENTRIES, MAX_FAMILY_OBJECTS, dumps_value, loads_value
 
@@ -327,6 +327,16 @@ def test_verify_rejects_unknown_suite():
     done = run_cli("verify", "--suite", "nope")
     assert done.returncode == 1
     assert "unknown suite" in done.stderr
+
+
+def test_verify_suite_help_names_every_suite():
+    # the help is written out in cli, so that parsing does not import verify
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exit_info:
+        cli.main(["verify", "--help"])
+    assert exit_info.value.code == 0
+    names = re.search(r"suite name: (.*?), or all", " ".join(out.getvalue().split())).group(1)
+    assert tuple(names.split(", ")) == verify.SUITE_ORDER
 
 
 def test_usage_errors_exit_1():

@@ -4,6 +4,11 @@ Importing scipy.linalg costs most of a small CLI call, and only
 `dynamics.concatenate` (the Schur step) and the two expm oracles of
 `verify` use it.  A fresh interpreter runs the other subcommands in
 process and reports whether scipy has been loaded after each one.
+
+The same run holds the CLI to its import budget: `import finobs.cli`
+and each subcommand load only the finobs modules they run, since every
+module loaded in a call is compiled from source when bytecode caching
+is off.
 """
 
 import json
@@ -13,6 +18,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 import scipy.linalg
 
 from finobs.dynamics import concatenate
@@ -25,16 +31,16 @@ import contextlib, io, json, sys
 import finobs, finobs.cli
 
 def loaded():
-    return "scipy" in sys.modules
+    return "scipy" in sys.modules, sorted(m for m in sys.modules if m.startswith("finobs"))
 
 def run(*argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = finobs.cli.main(list(argv))
-    return [code, out.getvalue(), loaded()]
+    return [code, out.getvalue(), *loaded()]
 
 ham, state, family, a, b = sys.argv[1:]
-steps = {"import": [0, "", loaded()]}
+steps = {"import": [0, "", *loaded()]}
 steps["spec"] = run("spec", "--operator", ham)
 steps["measure"] = run("measure", "--family", family)
 steps["evolve"] = run("evolve", "--hamiltonian", ham, "--state", state, "--time", "0.5")
@@ -44,7 +50,11 @@ print(json.dumps(steps))
 """
 
 
-def test_scipy_is_loaded_only_by_concat(tmp_path):
+@pytest.fixture(scope="module")
+def run(tmp_path_factory):
+    """The operands of concat and {step: [exit code, stdout, scipy loaded,
+    finobs modules loaded]}."""
+    tmp_path = tmp_path_factory.mktemp("lazy")
     a = np.array([[2.0, 1.0 - 0.5j], [1.0 + 0.5j, -1.0]])
     b = np.array([[0.5, 0.25j], [-0.25j, 3.0]])
     family = {
@@ -74,15 +84,31 @@ def test_scipy_is_loaded_only_by_concat(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     steps = json.loads(done.stdout.splitlines()[-1])
-
-    for name in ("import", "spec", "measure", "evolve", "verify"):
-        code, _, scipy_loaded = steps[name]
+    for name, (code, *_) in steps.items():
         assert code == 0, f"{name}: {done.stderr}"
-        assert not scipy_loaded, f"scipy was loaded by {name}"
+    return a, b, steps
 
-    code, out, scipy_loaded = steps["concat"]
-    assert code == 0 and scipy_loaded
+
+def test_scipy_is_loaded_only_by_concat(run):
+    a, b, steps = run
+    for name in ("import", "spec", "measure", "evolve", "verify"):
+        assert not steps[name][2], f"scipy was loaded by {name}"
+
+    _, out, scipy_loaded, _ = steps["concat"]
+    assert scipy_loaded
     assert out == dumps_value("operator", concatenate(a, b))
     c = loads_value("operator", out)
     target = scipy.linalg.expm(-1j * a) @ scipy.linalg.expm(-1j * b)
     assert np.max(np.abs(scipy.linalg.expm(-1j * c) - target)) < 1e-8
+
+
+def test_cli_loads_only_the_modules_a_subcommand_runs(run):
+    _, _, steps = run
+    unused = {
+        "import": {"verify", "fhlogic", "measurement", "socks", "dynamics", "finitary"},
+        "spec": {"verify", "fhlogic", "measurement", "socks"},
+    }
+    for name, modules in unused.items():
+        loaded = set(steps[name][3])
+        assert not loaded & {f"finobs.{m}" for m in modules}, f"{name} loaded {sorted(loaded)}"
+    assert "finobs.verify" in steps["verify"][3]
