@@ -33,15 +33,6 @@ def check_density(rho):
     return rho
 
 
-def check_unitary(u):
-    u = np.asarray(u, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise ValidationError(f"expected a square matrix, got shape {u.shape}")
-    if not numeric.orthonormal(u.T, numeric.UNITARY):
-        raise ValidationError("matrix is not unitary within tolerance")
-    return u
-
-
 def _phases(system, t):
     """exp(-i value t) per eigenvalue; t and every value * t must be finite."""
     if not np.isfinite(t):
@@ -89,6 +80,8 @@ def expectation(func, system, rho):
     total = 0.0
     for value, proj in _spectral_projectors(system):
         total += float(func(value)) * float(np.trace(proj @ rho).real)
+    if not np.isfinite(total):
+        raise ValidationError("expectation value overflows")
     return total
 
 
@@ -158,8 +151,12 @@ def variance(operator, w):
         sw = finitary.apply(operator, w)
     else:
         sw = check_hermitian(operator) @ w
-    mean = float(np.vdot(w, sw).real)
-    return float(np.vdot(sw, sw).real - mean * mean)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(np.vdot(w, sw).real)
+        out = float(np.vdot(sw, sw).real - mean * mean)
+    if not np.isfinite(out):
+        raise ValidationError("variance of the state overflows")
+    return out
 
 
 def subspace_intersection(basis1, basis2):
@@ -191,6 +188,9 @@ def complementarity_pair(dim, alphas, rotation_seed=42):
         raise ValidationError("eigenvalues must be distinct")
     if dim < 2 * k + 1:
         raise ValidationError(f"ambient dimension {dim} below required {2 * k + 1}")
+    # a non-finite eigenvalue is left to from_eigenpairs, which names it
+    if np.isfinite(alphas).all() and not np.isfinite(max(alphas) - min(alphas)):
+        raise ValidationError(f"eigenvalue spread {max(alphas)!r} - {min(alphas)!r} overflows")
     eye = np.eye(dim, dtype=complex)
     sqrt2 = np.sqrt(2.0)
 

@@ -48,13 +48,6 @@ class FiniteSupportVector:
     def support(self):
         return tuple(a for a, _ in self.entries)
 
-    def norm(self):
-        return float(np.sqrt(sum(abs(v) ** 2 for _, v in self.entries)))
-
-    def inner(self, other):
-        mine = self.as_dict()
-        return sum(v * np.conj(mine.get(a, 0.0)) for a, v in other.entries)
-
 
 @dataclass(eq=False)
 class FHOperator:

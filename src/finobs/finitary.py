@@ -239,20 +239,6 @@ def restrict(system, span_vectors):
     return EigenSystem(system.ambient_dim, w, u.T @ basis)
 
 
-def project(span_vectors, x):
-    """Orthogonal projection of x onto the span of the given vectors.
-
-    The vectors must be linearly independent; the projection minimizes
-    the distance to x and leaves an orthogonal residual.
-    """
-    rows = np.atleast_2d(np.asarray(span_vectors, dtype=complex))
-    x = np.asarray(x, dtype=complex)
-    basis = numeric.orth_rows(rows)
-    if not len(basis) or len(basis) < len(rows):
-        raise ValidationError("span vectors are linearly dependent")
-    return (basis.conj() @ x) @ basis
-
-
 def _domains_match(a, b):
     return a.count == b.count and all(in_domain(b, q) for q in a.vectors)
 
@@ -367,32 +353,6 @@ def minimal_polynomial(system):
 def is_complete(system):
     """True when the eigenvectors span the whole ambient space."""
     return system.is_full()
-
-
-def complete_extension(system, extra_pairs):
-    """Extend by explicit orthonormal eigenpairs up to a full operator."""
-    extra = list(extra_pairs)
-    if system.count + len(extra) != system.ambient_dim:
-        raise ValidationError(
-            f"{system.count} existing plus {len(extra)} new pairs do not fill "
-            f"dimension {system.ambient_dim}"
-        )
-    pairs = list(zip(system.values, system.vectors)) + extra
-    return from_eigenpairs(pairs, system.ambient_dim)
-
-
-def is_extension(full_system, partial_system):
-    """Does the full operator agree with the partial one on its domain?"""
-    if not full_system.is_full():
-        raise ValidationError("extension candidate must be a full operator")
-    if full_system.ambient_dim != partial_system.ambient_dim:
-        raise ValidationError("operators have different ambient dimensions")
-    m = full_system.matrix()
-    tol = numeric.tol_eig(full_system.norm())
-    for value, vector in zip(partial_system.values, partial_system.vectors):
-        if not numeric.within(np.linalg.norm(m @ vector - value * vector), tol):
-            return False
-    return True
 
 
 def joint_generator(systems):

@@ -13,7 +13,6 @@ from itertools import permutations
 
 import numpy as np
 
-from . import numeric
 from .errors import (
     InsufficientLabels,
     NonIdealFamily,
@@ -105,9 +104,6 @@ class PartialLabeling:
     def as_dict(self):
         return dict(self.entries)
 
-    def domain(self):
-        return tuple(x for x, _ in self.entries)
-
 
 @dataclass(frozen=True)
 class Scale:
@@ -125,9 +121,6 @@ class Scale:
             raise ValidationError("scale uses a label outside the label set")
         pairs = tuple((x, mapping[x]) for x in self.objects.elements)
         object.__setattr__(self, "assignment", pairs)
-
-    def as_dict(self):
-        return dict(self.assignment)
 
 
 @dataclass(frozen=True)
@@ -165,16 +158,6 @@ class PartitionPlus:
     def block_index(self):
         """Map each element to the index of its block."""
         return dict(zip(self.objects.universe(), self._where))
-
-    def distinguished_index(self):
-        return self.block_index()[self.objects.distinguished]
-
-    def refines(self, other):
-        """True when every block here sits inside a block of `other`."""
-        if self.objects != other.objects:
-            raise ValidationError("partitions over different object sets")
-        where = other.block_index()
-        return all(len({where[x] for x in block}) == 1 for block in self.blocks)
 
 
 def _outside(f, objects, labels):
@@ -340,27 +323,6 @@ def ideal_members(partition, codes):
         # block 0 is the absorber, where a member measures nothing
         keep &= (top < 0) | (i > 0 and top == lifted[:, cols].min(axis=1))
     return keep
-
-
-def common_refinement(p, q):
-    """Meet of two partition codes: nonempty pairwise block intersections."""
-    if p.objects != q.objects:
-        raise ValidationError("partitions over different object sets")
-    wp = p.block_index()
-    wq = q.block_index()
-    cells = {}
-    for x in p.objects.universe():
-        cells.setdefault((wp[x], wq[x]), []).append(x)
-    return PartitionPlus(p.objects, tuple(tuple(c) for c in cells.values()))
-
-
-def common_coarsening(p, q):
-    """Join of two partition codes: transitive closure of block overlap."""
-    if p.objects != q.objects:
-        raise ValidationError("partitions over different object sets")
-    links = [(block[0], x) for part in (p, q) for block in part.blocks for x in block[1:]]
-    groups = numeric.components(p.objects.universe(), links)
-    return PartitionPlus(p.objects, tuple(tuple(g) for g in groups))
 
 
 def scale_to_partition(scale):

@@ -23,7 +23,6 @@ TABLE_MATCH = 1e-6  # distance at which a sample point answers a function lookup
 STATE = 1e-9  # deviation of |psi| from 1
 TRACE = 1e-9  # deviation of a density's trace from 1
 PSD = 1e-10  # most negative eigenvalue a density may have
-UNITARY = 1e-8  # largest |U* U - I| entry
 CONCAT = 1e-8  # largest entry of exp(-iC) - exp(-iA) exp(-iB)
 ANGLE = 1e-9  # 1 - cos of the largest principal angle between shared directions
 SHARED_RAY = 1e-8  # deviation of |<e0, ray>| from 1 for a complementary pair

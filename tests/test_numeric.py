@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from finobs import dynamics, fhlogic, finitary, numeric
-from finobs.dynamics import check_density, check_state, check_unitary, subspace_intersection
+from finobs.dynamics import check_density, check_state, subspace_intersection
 from finobs.errors import OutsideDomain, ToleranceError, ValidationError
 from finobs.fhlogic import (
     FHOperator,
@@ -24,7 +24,6 @@ from finobs.finitary import (
     diagonalize,
     from_eigenpairs,
     in_domain,
-    is_extension,
 )
 from finobs.socks import PairVector, SignedTensor, TruncatedFockVector, least_support
 
@@ -157,11 +156,6 @@ def _is_orthogonal(monkeypatch, x):
     return is_orthogonal(s1, s2)
 
 
-def _is_extension(monkeypatch, x):
-    partial = from_eigenpairs([(1.0, [1.0, 0.0])], 2)
-    return is_extension(_diag(1.0, 2.0), _spoiled(monkeypatch, partial, "values", [x]))
-
-
 def _commeasurable(monkeypatch, x):
     spoiled = _spoiled(monkeypatch, _diag(1.0, 2.0), "values", [1.0, x])
     return commeasurable([_diag(1.0, 2.0), spoiled])
@@ -179,7 +173,6 @@ PREDICATES = [
     pytest.param(_subspace_equal, 1.0, id="subspace_equal"),
     pytest.param(_is_orthogonal, 1.0, id="is_orthogonal"),
     pytest.param(lambda mp, x: in_domain(_diag(1.0, 2.0), [1.0, x]), 0.0, id="in_domain"),
-    pytest.param(_is_extension, 1.0, id="is_extension"),
     pytest.param(_commeasurable, 2.0, id="commeasurable"),
 ]
 
@@ -211,8 +204,6 @@ def _functional_with_a_nan_probe():
         pytest.param(lambda mp: check_state([NAN, 0.0]), ValidationError, id="check_state"),
         pytest.param(lambda mp: check_density([[NAN, 0.0], [0.0, 1.0]]),
                      ValidationError, id="check_density"),
-        pytest.param(lambda mp: check_unitary([[NAN, 0.0], [0.0, 1.0]]),
-                     ValidationError, id="check_unitary"),
         pytest.param(lambda mp: subspace_intersection([[NAN, 0.0]], [[1.0, 0.0]]),
                      ValidationError, id="subspace_intersection"),
         pytest.param(lambda mp: FHOperator(("p",), [[NAN]], 0.0, symmetric=True),

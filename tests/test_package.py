@@ -23,22 +23,22 @@ EXPORTS = {
     "errors": """FinobsError Inconsistent InsufficientLabels NonIdealFamily NotCommeasurable
         NotEquivariant NotInvariant OutsideDomain SchemaError ToleranceError UnorderedLabels
         ValidationError""",
-    "measurement": """LabelSet ObjectSet PartialLabeling PartitionPlus Scale common_coarsening
-        common_refinement ideal_contains ideal_members is_observable label_codes le
-        partition_of_family pref_le pushforward_partition scale_to_partition""",
-    "finitary": """EigenSystem Polynomial apply commeasurable complete_extension diagonalize
-        from_eigenpairs functional_calculus in_domain is_complete is_extension joint_eigensystem
-        joint_generator minimal_polynomial orbit_span_dim project restrict table_function""",
+    "measurement": """LabelSet ObjectSet PartialLabeling PartitionPlus Scale ideal_contains
+        ideal_members is_observable label_codes le partition_of_family pref_le
+        pushforward_partition scale_to_partition""",
+    "finitary": """EigenSystem Polynomial apply commeasurable diagonalize from_eigenpairs
+        functional_calculus in_domain is_complete joint_eigensystem joint_generator
+        minimal_polynomial orbit_span_dim restrict table_function""",
     "dynamics": """compress_state complementarity_pair concatenate evolve expectation
         oscillator_hamiltonian propagator subspace_intersection variance""",
-    "socks": """ChoiceFunction FlipAction PairFamily PairVector SignedTensor TruncatedFockVector
-        apply_diagonal apply_pair_diagonal flip fock_basis_vector generator_tensor
-        is_flip_invariant least_support pair_inner pair_tensor tensor_inner""",
+    "socks": """ChoiceFunction FlipAction PairVector SignedTensor TruncatedFockVector
+        apply_diagonal flip fock_basis_vector generator_tensor is_flip_invariant least_support
+        pair_inner pair_tensor tensor_inner""",
     "fhlogic": """FHOperator FiniteSupportVector SymbolicSubspace SymbolicTrace canonicalize
         decompose_equivariant fh_apply fh_to_matrix is_orthogonal modularity_check
         refute_density represent_functional subspace subspace_equal subspace_join subspace_meet
         two_valued_state zero_sum_compatible""",
-    "serial": "dumps_value load_value loads_value save_value",
+    "serial": "dumps_value load_value loads_value",
 }
 SUBMODULES = {"numeric", *EXPORTS}
 

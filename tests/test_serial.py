@@ -16,10 +16,9 @@ from finobs.serial import (
     load_labeling_family,
     load_value,
     loads_value,
-    save_value,
     write_text,
 )
-from finobs.socks import SignedTensor, TruncatedFockVector, generator_tensor
+from finobs.socks import TruncatedFockVector, generator_tensor
 
 
 def test_floats_print_with_17_significant_digits():
@@ -244,7 +243,8 @@ def test_invalid_json_names_the_file_it_came_from(tmp_path):
 
 def test_write_text_goes_to_the_file_or_stdout(tmp_path, capsys):
     path = tmp_path / "out.json"
-    text = save_value("state", np.array([0.6, 0.8j]), str(path))
+    text = dumps_value("state", np.array([0.6, 0.8j]))
+    write_text(text, str(path))
     assert path.read_text(encoding="utf-8") == text
     assert capsys.readouterr().out == ""
     write_text(text, None)

@@ -14,12 +14,10 @@ from finobs.errors import ValidationError
 from finobs.socks import (
     ChoiceFunction,
     FlipAction,
-    PairFamily,
     PairVector,
     SignedTensor,
     TruncatedFockVector,
     apply_diagonal,
-    apply_pair_diagonal,
     flip,
     fock_basis_vector,
     generator_tensor,
@@ -33,15 +31,6 @@ from finobs.socks import (
 dyadic = st.tuples(st.integers(-8, 8), st.integers(-8, 8)).map(
     lambda t: (t[0] + 1j * t[1]) / 4.0
 )
-
-
-def test_pair_family_labels():
-    family = PairFamily(3)
-    assert family.labels(2) == ("a2", "b2")
-    with pytest.raises(ValidationError):
-        family.labels(3)
-    with pytest.raises(ValidationError):
-        PairFamily(-1)
 
 
 def test_pair_vector_and_inner():
@@ -133,7 +122,6 @@ def test_generator_tensor_is_normalized():
 def test_truncated_fock_vector_shape():
     v = TruncatedFockVector([1.0, 0.0, 2.0])
     assert v.max_pairs == 2
-    assert v.norm() == pytest.approx(np.sqrt(5.0))
     with pytest.raises(ValidationError):
         TruncatedFockVector([])
     with pytest.raises(ValidationError):
@@ -148,10 +136,6 @@ def test_diagonal_actions():
     assert np.array_equal(out.coeffs, [2.0, 1.0, -3.0])
     with pytest.raises(ValidationError):
         apply_diagonal([1.0], v)
-    scaled = apply_pair_diagonal([2.0, 3.0], [PairVector(1, 0.5)])
-    assert scaled[0].a_value == 1.5
-    with pytest.raises(ValidationError):
-        apply_pair_diagonal([1.0, 1.0], [PairVector(0, 1.0), PairVector(0, 2.0)])
 
 
 def test_flip_signs_count_pairs_below():
