@@ -118,12 +118,15 @@ def _cmd_uncertainty(args):
     v1 = dynamics.variance(first, base)
     v2 = dynamics.variance(second, base)
     shared = dynamics.subspace_intersection(first.vectors, second.vectors)
+    product = v1 * v2
+    if not np.isfinite(product):
+        raise ValidationError("product of the variances overflows")
     return _dump({
         "dim": args.dim,
         "alphas": list(alphas),
         "variance": [v1, v2],
-        "product": v1 * v2,
-        "shared_rays": [serial._vector_out(row) for row in shared],
+        "product": product,
+        "shared_rays": shared,
     })
 
 
@@ -134,7 +137,7 @@ def _cmd_socks(args):
     if args.inner:
         x = serial.load_value("tensor", args.a)
         y = serial.load_value("tensor", args.b)
-        return _dump({"value": serial._complex_out(socks.tensor_inner(x, y))})
+        return _dump({"value": socks.tensor_inner(x, y)})
     if args.flip is not None:
         pairs = serial.load_value("flips", args.flip)
         vector = serial.load_value("fockvector", args.vector)

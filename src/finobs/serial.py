@@ -2,8 +2,12 @@
 
 Complex numbers are two-element [re, im] arrays; floats are printed
 with 17 significant digits so that save/load/save round-trips are byte
-identical.  Loaders validate shape before construction and report
-failures with a JSON-pointer path.
+identical.  A complex scalar and a 1-D or 2-D complex array are nodes
+of `dumps_canonical`, formatted from one `tolist()` pass into the bytes
+of their pair lists.  Loaders validate shape before construction and
+report failures with a JSON-pointer path (RFC 6901); a vector or matrix
+of pairs is checked and converted in one pass, and only its first bad
+entry gets a pointer.
 
 Every input is a kind of `_LOADERS`, read by `loads_value(kind, text)`
 or `load_value(kind, path)`, whose invalid-JSON error names the file.
@@ -16,6 +20,8 @@ kind does not import the whole library.
 import json
 import math
 import sys
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -33,46 +39,66 @@ def _format_number(x):
     if isinstance(x, int):
         return str(x)
     value = float(x)
-    if value != value or value in (float("inf"), float("-inf")):
+    if not math.isfinite(value):
         raise ValidationError("cannot serialize a non-finite number")
-    if value == 0.0:
-        value = 0.0  # collapse negative zero; "-0" would reload as plain 0
-    text = format(value, ".17g")
-    return text
+    # + 0.0 collapses negative zero; "-0" would reload as plain 0
+    return format(value + 0.0, ".17g")
+
+
+def _layout(items, indent, inline=False):
+    """A list from its item texts: on one line when `inline` or when
+    every item is a short single line, else one item per line."""
+    if inline or all("\n" not in t and len(t) < 40 for t in items):
+        return "[" + ", ".join(items) + "]"
+    pad = "  " * (indent + 1)
+    return "[\n" + ",\n".join(pad + t for t in items) + "\n" + "  " * indent + "]"
+
+
+def _pair_texts(row):
+    """The [re, im] texts of a list of Python complex numbers."""
+    return [f"[{z.real + 0.0:.17g}, {z.imag + 0.0:.17g}]" for z in row]
 
 
 def dumps_canonical(node, indent=0):
-    """Serialize with deterministic layout and float formatting."""
-    pad = "  " * indent
+    """Serialize with deterministic layout and float formatting.
+
+    A complex number is the pair [re, im], and a 1-D or 2-D complex
+    array is the list (of rows) of such pairs.
+    """
     if node is None:
         return "null"
     if isinstance(node, str):
-        return json.dumps(node)
+        return encode_basestring_ascii(node)
     if isinstance(node, (bool, int, float)):
         return _format_number(node)
+    if isinstance(node, complex):
+        return f"[{_format_number(node.real)}, {_format_number(node.imag)}]"
+    if isinstance(node, np.ndarray) and node.dtype == complex and node.ndim in (1, 2):
+        if not np.isfinite(node).all():
+            raise ValidationError("cannot serialize a non-finite number")
+        if node.ndim == 1:
+            return _layout(_pair_texts(node.tolist()), indent)
+        rows = [_layout(_pair_texts(row), indent + 1) for row in node.tolist()]
+        return _layout(rows, indent)
     if isinstance(node, (list, tuple)):
-        if not node:
-            return "[]"
         items = [dumps_canonical(item, indent + 1) for item in node]
-        if all(isinstance(i, (int, float, bool)) or i is None for i in node) or all(
-            "\n" not in t and len(t) < 40 for t in items
-        ):
-            return "[" + ", ".join(items) + "]"
-        inner = ",\n".join("  " * (indent + 1) + t for t in items)
-        return "[\n" + inner + "\n" + pad + "]"
+        inline = all(isinstance(i, (int, float, bool)) or i is None for i in node)
+        return _layout(items, indent, inline)
     if isinstance(node, dict):
         if not node:
             return "{}"
-        parts = []
-        for key, value in node.items():
-            parts.append(
-                "  " * (indent + 1)
-                + json.dumps(str(key))
-                + ": "
-                + dumps_canonical(value, indent + 1)
-            )
-        return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
+        pad = "  " * (indent + 1)
+        parts = [
+            pad + encode_basestring_ascii(str(key)) + ": " + dumps_canonical(value, indent + 1)
+            for key, value in node.items()
+        ]
+        return "{\n" + ",\n".join(parts) + "\n" + "  " * indent + "}"
     raise ValidationError(f"cannot serialize object of type {type(node).__name__}")
+
+
+def _pointer_key(key):
+    """`key` as one JSON-pointer token (RFC 6901): ~ becomes ~0, / becomes ~1."""
+    return str(key).replace("~", "~0").replace("/", "~1")
 
 
 def _need(node, kind, ptr, what):
@@ -81,15 +107,16 @@ def _need(node, kind, ptr, what):
     return node
 
 
-def _as_number(node, ptr):
+def _as_number(node, ptr, suffix=""):
+    """`node` as a finite float; an error names `ptr + suffix`."""
     if isinstance(node, bool) or not isinstance(node, (int, float)):
-        raise SchemaError(ptr, "expected a number")
+        raise SchemaError(ptr + suffix, "expected a number")
     try:
         value = float(node)
     except OverflowError:  # an integer beyond the float range
         value = math.inf
     if not math.isfinite(value):
-        raise SchemaError(ptr, "expected a finite number")
+        raise SchemaError(ptr + suffix, "expected a finite number")
     return value
 
 
@@ -97,36 +124,52 @@ def _as_complex(node, ptr):
     node = _need(node, list, ptr, "a [re, im] pair")
     if len(node) != 2:
         raise SchemaError(ptr, f"expected [re, im], got {len(node)} entries")
-    return complex(_as_number(node[0], f"{ptr}/0"), _as_number(node[1], f"{ptr}/1"))
+    return complex(_as_number(node[0], ptr, "/0"), _as_number(node[1], ptr, "/1"))
 
 
-def _complex_out(z):
-    z = complex(z)
-    return [z.real, z.imag]
+def _pairs_array(node, shape):
+    """The [re, im] pairs `node` (a list, or a list of rows of `shape[1]`
+    entries) as a complex array of `shape`, or None when some entry is
+    not a pair of finite numbers or a row has another length."""
+    entries = node
+    if len(shape) == 2:
+        if not all(isinstance(row, list) and len(row) == shape[1] for row in node):
+            return None
+        entries = [entry for row in node for entry in row]
+    if not all(isinstance(entry, list) and len(entry) == 2 for entry in entries):
+        return None
+    for kind in set(map(type, chain.from_iterable(entries))):
+        if issubclass(kind, bool) or not issubclass(kind, (int, float)):
+            return None
+    try:
+        parts = np.array(node, dtype=float)
+    except OverflowError:  # an integer beyond the float range
+        return None
+    if not np.isfinite(parts).all():
+        return None
+    return parts.reshape(shape + (2,)).view(complex).reshape(shape)
 
 
-def _as_vector(node, ptr):
+def _as_vector(node, ptr, keys=None):
+    """A list of [re, im] pairs as a complex vector; an error names the
+    first bad entry by its index, or by its key in `keys`."""
     node = _need(node, list, ptr, "a list of [re, im] pairs")
-    return np.array(
-        [_as_complex(entry, f"{ptr}/{i}") for i, entry in enumerate(node)],
-        dtype=complex,
-    )
-
-
-def _vector_out(v):
-    return [_complex_out(z) for z in np.asarray(v, dtype=complex)]
+    vector = _pairs_array(node, (len(node),))
+    if vector is None:
+        for key, entry in zip(keys or range(len(node)), node):  # raises at the first bad one
+            _as_complex(entry, f"{ptr}/{_pointer_key(key)}")
+    return vector
 
 
 def _as_matrix(node, ptr):
     node = _need(node, list, ptr, "a list of rows")
-    rows = [_as_vector(row, f"{ptr}/{i}") for i, row in enumerate(node)]
-    if rows and any(len(r) != len(rows[0]) for r in rows):
+    shape = (len(node), len(node[0]) if node and isinstance(node[0], list) else 0)
+    matrix = _pairs_array(node, shape)
+    if matrix is None:
+        for i, row in enumerate(node):  # raises at the first bad row
+            _as_vector(row, f"{ptr}/{i}")
         raise SchemaError(ptr, "rows have unequal lengths")
-    return np.array(rows, dtype=complex) if rows else np.zeros((0, 0), dtype=complex)
-
-
-def _matrix_out(m):
-    return [_vector_out(row) for row in np.asarray(m, dtype=complex)]
+    return matrix
 
 
 def _as_object(node, ptr, required, optional=()):
@@ -136,7 +179,7 @@ def _as_object(node, ptr, required, optional=()):
             raise SchemaError(ptr, f"missing key {key!r}")
     for key in node:
         if key not in required and key not in optional:
-            raise SchemaError(f"{ptr}/{key}", "unexpected key")
+            raise SchemaError(f"{ptr}/{_pointer_key(key)}", "unexpected key")
     return node
 
 
@@ -151,7 +194,7 @@ def load_matrix(node, ptr=""):
 
 
 def save_matrix(m):
-    return _matrix_out(m)
+    return np.asarray(m, dtype=complex)
 
 
 def load_eigensystem(node, ptr=""):
@@ -179,7 +222,7 @@ def save_eigensystem(system):
     return {
         "ambient_dim": system.ambient_dim,
         "pairs": [
-            {"value": float(value), "vector": _vector_out(vector)}
+            {"value": float(value), "vector": vector}
             for value, vector in zip(system.values, system.vectors)
         ],
     }
@@ -200,7 +243,7 @@ def load_state(node, ptr=""):
 
 
 def save_state(psi):
-    return {"vector": _vector_out(psi)}
+    return {"vector": np.asarray(psi, dtype=complex)}
 
 
 def load_density(node, ptr=""):
@@ -209,7 +252,7 @@ def load_density(node, ptr=""):
 
 
 def save_density(rho):
-    return {"matrix": _matrix_out(rho)}
+    return {"matrix": np.asarray(rho, dtype=complex)}
 
 
 def load_partition(node, ptr=""):
@@ -250,7 +293,7 @@ def load_fockvector(node, ptr=""):
 
 
 def save_fockvector(v):
-    return {"coeffs": _vector_out(v.coeffs)}
+    return {"coeffs": v.coeffs}
 
 
 def load_tensor(node, ptr=""):
@@ -268,7 +311,7 @@ def load_tensor(node, ptr=""):
 
 
 def save_tensor(t):
-    return {"N": t.length, "table": _vector_out(t.table)}
+    return {"N": t.length, "table": t.table}
 
 
 def load_flips(node, ptr=""):
@@ -310,8 +353,8 @@ def load_fhoperator(node, ptr=""):
 def save_fhoperator(op):
     out = {
         "support": list(op.support),
-        "F": _matrix_out(op.block),
-        "tail": _complex_out(op.tail),
+        "F": op.block,
+        "tail": op.tail,
     }
     if op.symmetric:
         out["symmetric"] = True
@@ -326,10 +369,8 @@ def load_subspace(node, ptr=""):
     vectors = []
     for i, entry in enumerate(finite_node):
         entry = _need(entry, dict, f"{ptr}/finite/{i}", "an atom-to-[re, im] object")
-        vec = {}
-        for atom, value in entry.items():
-            vec[atom] = _as_complex(value, f"{ptr}/finite/{i}/{atom}")
-        vectors.append(FiniteSupportVector(vec))
+        values = _as_vector(list(entry.values()), f"{ptr}/finite/{i}", keys=entry)
+        vectors.append(FiniteSupportVector(dict(zip(entry, values.tolist()))))
     excl_node = node["cofinite_excluding"]
     if excl_node is None:
         exclude = None
@@ -350,7 +391,7 @@ def load_subspace(node, ptr=""):
 def save_subspace(space):
     return {
         "finite": [
-            {atom: _complex_out(value) for atom, value in zip(space.window, row) if value != 0}
+            {atom: complex(value) for atom, value in zip(space.window, row) if value != 0}
             for row in space.rows.tolist()
         ],
         "cofinite_excluding": list(space.exclude) if space.exclude is not None else None,
@@ -418,7 +459,7 @@ def load_labeling_family(node, ptr=""):
     family = []
     for i, entries in enumerate(tables):
         for x, y in entries.items():
-            _need(y, str, f"{ptr}/labelings/{i}/entries/{x}", "a string")
+            _need(y, str, f"{ptr}/labelings/{i}/entries/{_pointer_key(x)}", "a string")
         try:
             family.append(PartialLabeling(objects, label_set, dict(entries)))
         except ValidationError as exc:

@@ -202,12 +202,23 @@ class FlipAction:
         return -1.0 if len([p for p in self.pairs if p < n]) % 2 else 1.0
 
 
+def _flip_signs(action, size):
+    """`action.sign(n)` for n in 0..size-1 in one sweep: the sign turns
+    after each flipped pair."""
+    signs = []
+    sign = 1.0
+    for n in range(size):
+        signs.append(sign)
+        if n in action.pairs:
+            sign = -sign
+    return np.array(signs)
+
+
 def flip(action, v):
     """Apply a flip action to a truncated Fock vector."""
     if not isinstance(action, FlipAction):
         action = FlipAction(frozenset(action))
-    signs = np.array([action.sign(n) for n in range(len(v.coeffs))])
-    return TruncatedFockVector(signs * v.coeffs)
+    return TruncatedFockVector(_flip_signs(action, len(v.coeffs)) * v.coeffs)
 
 
 def least_support(v):
@@ -233,5 +244,5 @@ def is_flip_invariant(matrix, action):
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {matrix.shape}")
-    signs = np.array([action.sign(n) for n in range(matrix.shape[0])])
+    signs = _flip_signs(action, matrix.shape[0])
     return bool(np.array_equal(signs[:, None] * matrix * signs[None, :], matrix))

@@ -504,6 +504,8 @@ def test_overflowing_inputs_exit_1_without_numpy_warnings(workdir):
         assert done == (1, "", "error: eigenvectors are not orthonormal\n")
         done = run_cli("uncertainty", "--dim", "5", "--alphas", "1e200,-1e200")
         assert done == (1, "", "error: variance of the state overflows\n")
+        done = run_cli("uncertainty", "--dim", "5", "--alphas", "1e100,-1e100")
+        assert done == (1, "", "error: product of the variances overflows\n")
         done = run_cli("uncertainty", "--dim", "5", "--alphas", "1e308,-1e308")
         assert done == (1, "", "error: eigenvalue spread 1e+308 - -1e+308 overflows\n")
         big = write("big.json", "[[[1e10, 0]]]")

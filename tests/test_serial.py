@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from finobs.errors import SchemaError, ValidationError
 from finobs.fhlogic import FHOperator, subspace
@@ -45,6 +47,72 @@ def test_non_finite_numbers_are_rejected():
 def test_canonical_layout_snapshot():
     text = dumps_value("state", np.array([1.0, -0.5j]))
     assert text == '{\n  "vector": [[1, 0], [0, -0.5]]\n}\n'
+
+
+# The pair-list encoder that complex arrays went through before they were
+# nodes of `dumps_canonical`: the reference for their bytes.
+def _complex_out(z):
+    z = complex(z)
+    return [z.real, z.imag]
+
+
+def _vector_out(v):
+    return [_complex_out(z) for z in np.asarray(v, dtype=complex)]
+
+
+def _matrix_out(m):
+    return [_vector_out(row) for row in np.asarray(m, dtype=complex)]
+
+
+# extremes, integer-valued floats and full 17-digit values; small ones
+# keep a row under the 40-character inline limit, long ones push it over
+_PARTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -2.0, 0.5, 5e-324, -5e-324, 1e308, -1e308]),
+    st.integers(-(10**17), 10**17).map(float),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_ENTRIES = st.builds(complex, _PARTS, _PARTS)
+
+
+def _bits(a):
+    return a.shape, a.dtype, a.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_ENTRIES, max_size=8))
+@example([])
+@example([complex(-0.0, -0.0), complex(5e-324, -1e308)])
+def test_complex_vectors_dump_the_pair_list_bytes_and_load_back_bitwise(entries):
+    v = np.array(entries, dtype=complex)
+    text = dumps_value("state", v)
+    assert text == dumps_canonical({"vector": _vector_out(v)}) + "\n"
+    # dumping collapses negative zero, and .17g round-trips every other double
+    assert _bits(loads_value("state", text)) == _bits(v + 0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 4), st.lists(_ENTRIES, min_size=16, max_size=16))
+@example(0, 0, [0j] * 16)
+@example(1, 0, [0j] * 16)
+@example(2, 2, [complex(1.0, -0.0)] * 16)
+def test_complex_matrices_dump_the_pair_list_bytes_and_load_back_bitwise(rows, cols, entries):
+    m = np.array(entries[: rows * cols], dtype=complex).reshape(rows, cols)
+    for kind, wrap in (("operator", lambda x: x), ("density", lambda x: {"matrix": x})):
+        text = dumps_value(kind, m)
+        assert text == dumps_canonical(wrap(_matrix_out(m))) + "\n"
+        if rows == cols or rows and not cols:  # what a matrix loader accepts
+            assert _bits(loads_value(kind, text)) == _bits(m + 0.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan), complex(1, -np.inf)])
+@pytest.mark.parametrize("kind,shape", [("state", (3,)), ("operator", (2, 2)), ("density", (1, 1))])
+def test_non_finite_arrays_are_rejected(kind, shape, bad):
+    a = np.zeros(shape, dtype=complex)
+    a.flat[-1] = bad
+    with pytest.raises(ValidationError, match="^cannot serialize a non-finite number$"):
+        dumps_value(kind, a)
+    with pytest.raises(ValidationError, match="^cannot serialize a non-finite number$"):
+        dumps_canonical(complex(bad))
 
 
 ROUNDTRIP_CASES = [
@@ -91,7 +159,10 @@ def test_eigensystem_loader_restores_canonical_order():
     [
         ("state", "{}", "/"),
         ("state", '{"vector": [1]}', "/vector/0"),
+        ("state", '{"vector": [[1, 0], [true, 0]]}', "/vector/1/0"),
+        ("operator", "[[[1, false]]]", "/0/0/1"),
         ("state", '{"vector": [], "extra": 1}', "/extra"),
+        ("state", '{"vector": [], "a/b~": 1}', "/a~1b~0"),
         ("state", "not json", "/"),
         ("operator", "[[[1, 0]], [[1, 0], [0, 0]]]", "/"),
         ("operator", "[[[1, 0], [0, 0]]]", "/"),
@@ -109,6 +180,12 @@ def test_eigensystem_loader_restores_canonical_order():
         ("fhoperator", '{"support": [], "F": [], "tail": [0, 0], "symmetric": 3}', "/symmetric"),
         ("fhoperator", '{"support": ["p"], "F": [[[1, 0]]], "tail": 7}', "/tail"),
         ("subspace", '{"finite": [3], "cofinite_excluding": null}', "/finite/0"),
+        (
+            "family",
+            '{"objects": ["x/y"], "distinguished": "a", "labels": ["lo"],'
+            ' "labelings": [{"entries": {"x/y": 3}}]}',
+            "/labelings/0/entries/x~1y",
+        ),
         ("flips", '{"pairs": [-1]}', "/pairs/0"),
         ("tensor", '{"N": 1, "table": [[1, 0], [1, 0]]}', "/table"),
     ],
@@ -130,6 +207,11 @@ NON_FINITE_CASES = [
     ("fockvector", '{"coeffs": [[1, 0], [0, X]]}', "/coeffs/1/1"),
     ("fhoperator", '{"support": ["p"], "F": [[[1, 0]]], "tail": [X, 0]}', "/tail/0"),
     ("subspace", '{"finite": [{"p": [X, 0]}], "cofinite_excluding": null}', "/finite/0/p/0"),
+    # RFC 6901: a key's "/" is escaped as "~1" and its "~" as "~0"
+    ("subspace", '{"finite": [{"a/b": [X, 0]}], "cofinite_excluding": null}',
+     "/finite/0/a~1b/0"),
+    ("subspace", '{"finite": [{"x~1": [0, X]}], "cofinite_excluding": null}',
+     "/finite/0/x~01/1"),
     ("tensor", '{"N": 1, "table": [[1, 0], [-1, X]]}', "/table/1/1"),
 ]
 

@@ -147,6 +147,29 @@ def test_flip_signs_count_pairs_below():
     assert np.array_equal(flip(action, flip(action, v)).coeffs, v.coeffs)
 
 
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.frozensets(st.integers(0, 40), max_size=8),
+    st.lists(st.builds(complex, _FINITE, _FINITE), min_size=1, max_size=33),
+    st.integers(0, 32),
+    st.integers(0, 32),
+)
+def test_flip_signs_match_the_one_component_rule(pairs, coeffs, i, j):
+    action = FlipAction(pairs)
+    v = TruncatedFockVector(coeffs)
+    signs = np.array([action.sign(n) for n in range(len(coeffs))])
+    # multiplying by +-1.0 is exact, so the bits must agree, zeros' signs too
+    assert flip(action, v).coeffs.tobytes() == (signs * v.coeffs).tobytes()
+    size = len(coeffs)
+    i, j = i % size, j % size
+    hop = np.eye(size, dtype=complex)
+    hop[i, j] = hop[j, i] = 1.0
+    assert is_flip_invariant(hop, action) == (signs[i] == signs[j])
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     st.frozensets(st.integers(0, 3)),
