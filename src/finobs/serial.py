@@ -107,16 +107,15 @@ def _need(node, kind, ptr, what):
     return node
 
 
-def _as_number(node, ptr, suffix=""):
-    """`node` as a finite float; an error names `ptr + suffix`."""
+def _as_number(node, ptr):
     if isinstance(node, bool) or not isinstance(node, (int, float)):
-        raise SchemaError(ptr + suffix, "expected a number")
+        raise SchemaError(ptr, "expected a number")
     try:
         value = float(node)
     except OverflowError:  # an integer beyond the float range
         value = math.inf
     if not math.isfinite(value):
-        raise SchemaError(ptr + suffix, "expected a finite number")
+        raise SchemaError(ptr, "expected a finite number")
     return value
 
 
@@ -124,7 +123,7 @@ def _as_complex(node, ptr):
     node = _need(node, list, ptr, "a [re, im] pair")
     if len(node) != 2:
         raise SchemaError(ptr, f"expected [re, im], got {len(node)} entries")
-    return complex(_as_number(node[0], ptr, "/0"), _as_number(node[1], ptr, "/1"))
+    return complex(_as_number(node[0], f"{ptr}/0"), _as_number(node[1], f"{ptr}/1"))
 
 
 def _pairs_array(node, shape):

@@ -197,28 +197,23 @@ class FlipAction:
             raise ValidationError("pair indices must be nonnegative")
         object.__setattr__(self, "pairs", pairs)
 
-    def sign(self, n):
-        """Sign picked up by the u_n component: one flip per pair below n."""
-        return -1.0 if len([p for p in self.pairs if p < n]) % 2 else 1.0
-
-
-def _flip_signs(action, size):
-    """`action.sign(n)` for n in 0..size-1 in one sweep: the sign turns
-    after each flipped pair."""
-    signs = []
-    sign = 1.0
-    for n in range(size):
-        signs.append(sign)
-        if n in action.pairs:
-            sign = -sign
-    return np.array(signs)
+    def signs(self, size):
+        """Signs picked up by the components u_0..u_{size-1}: u_n flips once
+        per pair below n, so one sweep turns the sign after each pair."""
+        signs = []
+        sign = 1.0
+        for n in range(size):
+            signs.append(sign)
+            if n in self.pairs:
+                sign = -sign
+        return np.array(signs)
 
 
 def flip(action, v):
     """Apply a flip action to a truncated Fock vector."""
     if not isinstance(action, FlipAction):
         action = FlipAction(frozenset(action))
-    return TruncatedFockVector(_flip_signs(action, len(v.coeffs)) * v.coeffs)
+    return TruncatedFockVector(action.signs(len(v.coeffs)) * v.coeffs)
 
 
 def least_support(v):
@@ -244,5 +239,5 @@ def is_flip_invariant(matrix, action):
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {matrix.shape}")
-    signs = _flip_signs(action, matrix.shape[0])
+    signs = action.signs(matrix.shape[0])
     return bool(np.array_equal(signs[:, None] * matrix * signs[None, :], matrix))

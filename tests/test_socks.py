@@ -140,11 +140,18 @@ def test_diagonal_actions():
 
 def test_flip_signs_count_pairs_below():
     action = FlipAction(frozenset({0, 2}))
-    assert [action.sign(n) for n in range(4)] == [1.0, -1.0, -1.0, 1.0]
+    assert action.signs(4).tolist() == [1.0, -1.0, -1.0, 1.0]
+    assert action.signs(0).shape == (0,)
     v = TruncatedFockVector([1.0, 2.0, 3.0, 4.0])
     assert np.array_equal(flip(action, v).coeffs, [1.0, -2.0, -3.0, 4.0])
     # flipping twice restores the vector exactly
     assert np.array_equal(flip(action, flip(action, v)).coeffs, v.coeffs)
+
+
+# The reference for `FlipAction.signs`, one component at a time: u_n picks
+# up one sign per flipped pair below n.
+def _sign(action, n):
+    return -1.0 if len([p for p in action.pairs if p < n]) % 2 else 1.0
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -160,7 +167,8 @@ _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 def test_flip_signs_match_the_one_component_rule(pairs, coeffs, i, j):
     action = FlipAction(pairs)
     v = TruncatedFockVector(coeffs)
-    signs = np.array([action.sign(n) for n in range(len(coeffs))])
+    signs = np.array([_sign(action, n) for n in range(len(coeffs))])
+    assert action.signs(len(coeffs)).tobytes() == signs.tobytes()
     # multiplying by +-1.0 is exact, so the bits must agree, zeros' signs too
     assert flip(action, v).coeffs.tobytes() == (signs * v.coeffs).tobytes()
     size = len(coeffs)

@@ -45,7 +45,6 @@ UNREACHED = {
     "PartitionPlus.block_index": "public view of _where, which ideal_contains and ideal_members read",
     "Polynomial.degree": "view of the coefficients, pinned by the tests",
     "TruncatedFockVector.max_pairs": "view of the truncation, pinned by the tests",
-    "FlipAction.sign": "the one-component sign rule, which the tests hold flip's signs to",
 }
 
 

@@ -1,15 +1,14 @@
 """Parent-versus-change timings behind BENCH_serial.json.
 
-    python3 tools/bench_serial.py serial --parent P --change C [--seed S]
-        [--rounds R] [--repeats N] [-o BENCH_serial.json]
+    python3 tools/bench_serial.py serial --parent P --change C [-o BENCH_serial.json]
     python3 tools/bench_serial.py pairs --parent P --change C
         --workload W --seeds S1,S2,... [-o BENCH_serial.json]
 
 P and C are source checkouts.  `serial` times `serial.dumps_value` and
-`serial.loads_value` per kind over the calls of one api_batch pass: each
-round runs one child per checkout (alternating which goes first), and
-each child records the calls of a pass, makes one warm-up run and then
-N timed runs.  `pairs` runs `bench/run.py --workload W --seconds 25
+`serial.loads_value` per kind over the calls of one api_batch pass (seed
+SEED): each of ROUNDS rounds runs one child per checkout (alternating
+which goes first), and each child records the calls of a pass, makes one
+warm-up run and then REPEATS timed runs.  `pairs` runs `bench/run.py --workload W --seconds 25
 --trace 0` in each checkout per seed, alternating which goes first.
 Each merges its section into the output file.
 """
@@ -25,9 +24,10 @@ import time
 from pathlib import Path
 
 THREADS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+SEED, ROUNDS, REPEATS = 1, 4, 10
 
 
-def child(seed, repeats):
+def child():
     """In a checkout's environment: per-kind seconds of each timed run."""
     import api_batch
     import numpy
@@ -38,12 +38,12 @@ def child(seed, repeats):
     for name, fn in real.items():
         setattr(serial, name, lambda kind, arg, fn=fn, name=name: (
             calls.append((name, kind, arg)), fn(kind, arg))[1])
-    ops = api_batch.build(seed, api_batch.SIZES["full"])
+    ops = api_batch.build(SEED, api_batch.SIZES["full"])
     api_batch.run_pass(ops)
     for name, fn in real.items():
         setattr(serial, name, fn)
     runs = []
-    for _ in range(repeats + 1):  # the first run is the warm-up
+    for _ in range(REPEATS + 1):  # the first run is the warm-up
         spent = {}
         for name, kind, arg in calls:
             t0 = time.perf_counter()
@@ -60,12 +60,12 @@ def child(seed, repeats):
     return {"runs": runs[1:], "calls": counts, "bytes": size, "numpy": numpy.__version__}
 
 
-def run_child(tree, seed, repeats):
+def run_child(tree):
     tree = Path(tree).resolve()
     env = dict(os.environ, **THREADS)
     env["PYTHONPATH"] = f"{tree / 'src'}{os.pathsep}{tree / 'bench'}"
     code = (f"import sys, json; sys.path.insert(0, {str(Path(__file__).parent)!r}); "
-            f"import bench_serial; print(json.dumps(bench_serial.child({seed}, {repeats})))")
+            "import bench_serial; print(json.dumps(bench_serial.child()))")
     out = subprocess.run([sys.executable, "-c", code], env=env, cwd=tree, check=True,
                          capture_output=True, text=True).stdout
     return json.loads(out.splitlines()[-1])
@@ -79,10 +79,10 @@ def summary(values):
 def serial_section(args):
     sides = {"parent": args.parent, "change": args.change}
     got = {side: [] for side in sides}
-    for r in range(args.rounds):
+    for r in range(ROUNDS):
         order = list(sides) if r % 2 == 0 else list(sides)[::-1]
         for side in order:
-            got[side].append(run_child(sides[side], args.seed, args.repeats))
+            got[side].append(run_child(sides[side]))
     out = {}
     for side, results in got.items():
         runs = [run for result in results for run in result["runs"]]
@@ -95,7 +95,7 @@ def serial_section(args):
                 [sum(v for k, v in run.items() if k.startswith(name + "/")) for run in runs])
         out[side] = per_kind
         numpy_version = results[0]["numpy"]
-    return {"seed": args.seed, "rounds": args.rounds, "repeats_per_child": args.repeats,
+    return {"seed": SEED, "rounds": ROUNDS, "repeats_per_child": REPEATS,
             "warmup_runs_per_child": 1, "numpy": numpy_version, **out}
 
 
@@ -137,9 +137,6 @@ def main(argv=None):
     parser.add_argument("mode", choices=("serial", "pairs"))
     parser.add_argument("--parent", required=True)
     parser.add_argument("--change", required=True)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--rounds", type=int, default=3)
-    parser.add_argument("--repeats", type=int, default=10)
     parser.add_argument("--workload", default="api_batch")
     parser.add_argument("--seeds", default="")
     parser.add_argument("-o", "--output", default="BENCH_serial.json")
