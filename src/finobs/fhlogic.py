@@ -334,8 +334,8 @@ def _canonical(rows, window, cofinite):
     if not cofinite:
         rows, window = _touched(rows, window)
     rows = numeric.orth_rows(rows)
-    while cofinite and _inside(rows).any():
-        pos = int(np.argmax(_inside(rows)))
+    while cofinite and (inside := _inside(rows)).any():
+        pos = int(np.argmax(inside))
         # the deflation, not a plain column slice, sets the signs of the zeros the SVD sees
         deflated = rows - np.outer(rows[:, pos], np.eye(len(window), dtype=complex)[pos])
         keep = [i for i in range(len(window)) if i != pos]

@@ -104,7 +104,9 @@ def check_hermitian(m):
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {m.shape}")
-    if not numeric.within(m - m.conj().T, numeric.HERMITIAN):
+    with np.errstate(over="ignore", invalid="ignore"):  # within() fails closed on inf and NaN
+        skew = m - m.conj().T
+    if not numeric.within(skew, numeric.HERMITIAN):
         raise ValidationError("matrix is not Hermitian within tolerance")
     return m
 

@@ -5,8 +5,13 @@ exhaustive enumeration for the finite combinatorics, dense linear
 algebra oracles (scipy) for the operator calculus, closed forms where
 one exists.  Reports carry counts and worst residuals only, never
 timings, so a fixed seed yields byte-identical output.
+
+The checks are independent (each draws from `_rng(seed, tag)` and
+builds its own inputs), so `run_suite` runs them in forked workers, one
+per CPU, and the report stays byte-identical.
 """
 
+import os
 from dataclasses import dataclass
 from itertools import product
 
@@ -787,8 +792,40 @@ SUITES = {
 SUITE_ORDER = ("measurement", "finitary", "dynamics", "socks", "fhlogic", "serialization")
 
 
+def _failed(fn, exc):
+    label = fn.__name__.removeprefix("_check_").replace("_", "-")  # the check's reported name
+    return CheckResult(label, False, f"raised {type(exc).__name__}: {exc}")
+
+
+def _run_check(fn, seed):
+    try:
+        return fn(seed)
+    except Exception as exc:  # a crash is a failed check, not a crash of the tool
+        return _failed(fn, exc)
+
+
+_inherited = None  # (checks, seed) that a forked worker inherits
+
+
+def _inherit(checks, seed):
+    global _inherited
+    _inherited = (checks, seed)
+
+
+def _run_inherited(index):
+    checks, seed = _inherited
+    return _run_check(checks[index], seed)
+
+
 def run_suite(name, seed):
-    """Run one named suite (or 'all') and return the CheckResults."""
+    """Run one named suite (or 'all') and return the CheckResults in suite order.
+
+    The checks run in workers forked from the caller, one per usable CPU
+    and at most one per check, or here when that is one worker or fork
+    is missing.  Workers inherit the checks and the seed; only results
+    are pickled.  A check that raises fails; if a worker dies, every
+    check left without a result fails naming BrokenProcessPool.
+    """
     if name == "all":
         checks = [fn for suite in SUITE_ORDER for fn in SUITES[suite]]
     elif name in SUITES:
@@ -799,15 +836,22 @@ def run_suite(name, seed):
         raise ValidationError(
             f"unknown suite {name!r}; choose from {', '.join(SUITE_ORDER)} or all"
         )
+    forkable = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+    workers = min(len(checks), len(os.sched_getaffinity(0))) if forkable else 1
+    if workers < 2:
+        return [_run_check(fn, seed) for fn in checks]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
     results = []
-    for fn in checks:
-        label = fn.__name__.removeprefix("_check_").replace("_", "-")  # the check's reported name
+    with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                             initializer=_inherit, initargs=(checks, seed)) as pool:
         try:
-            results.append(fn(seed))
-        except Exception as exc:  # a crash is a failed check, not a crash of the tool
-            results.append(
-                CheckResult(label, False, f"raised {type(exc).__name__}: {exc}")
-            )
+            for result in pool.map(_run_inherited, range(len(checks))):
+                results.append(result)
+        except BrokenProcessPool as exc:
+            results += [_failed(fn, exc) for fn in checks[len(results):]]
     return results
 
 

@@ -502,6 +502,11 @@ def test_overflowing_inputs_exit_1_without_numpy_warnings(workdir):
         assert done == (1, "", "error: evolution phase overflows at time 1e+308\n")
         done = run_cli("spec", "--operator", huge)
         assert done == (1, "", "error: eigenvectors are not orthonormal\n")
+        skew = write("skew.json", "[[[1e308, 0], [1e308, 0]], [[-1e308, 0], [1, 0]]]")
+        for argv in (("spec", "--operator", skew),
+                     ("evolve", "--hamiltonian", skew, "--state", state, "--time=1")):
+            done = run_cli(*argv)
+            assert done == (1, "", "error: matrix is not Hermitian within tolerance\n")
         done = run_cli("uncertainty", "--dim", "5", "--alphas", "1e200,-1e200")
         assert done == (1, "", "error: variance of the state overflows\n")
         done = run_cli("uncertainty", "--dim", "5", "--alphas", "1e100,-1e100")

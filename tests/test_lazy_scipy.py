@@ -8,7 +8,8 @@ process and reports whether scipy has been loaded after each one.
 The same run holds the CLI to its import budget: `import finobs.cli`
 and each subcommand load only the finobs modules they run, since every
 module loaded in a call is compiled from source when bytecode caching
-is off.
+is off.  A one-check verify suite runs in process, so it loads neither
+`multiprocessing` nor `concurrent.futures`.
 """
 
 import json
@@ -31,7 +32,8 @@ import contextlib, io, json, sys
 import finobs, finobs.cli
 
 def loaded():
-    return "scipy" in sys.modules, sorted(m for m in sys.modules if m.startswith("finobs"))
+    return ("scipy" in sys.modules, sorted(m for m in sys.modules if m.startswith("finobs")),
+            sorted(m for m in ("multiprocessing", "concurrent.futures") if m in sys.modules))
 
 def run(*argv):
     out = io.StringIO()
@@ -53,7 +55,7 @@ print(json.dumps(steps))
 @pytest.fixture(scope="module")
 def run(tmp_path_factory):
     """The operands of concat and {step: [exit code, stdout, scipy loaded,
-    finobs modules loaded]}."""
+    finobs modules loaded, process-pool modules loaded]}."""
     tmp_path = tmp_path_factory.mktemp("lazy")
     a = np.array([[2.0, 1.0 - 0.5j], [1.0 + 0.5j, -1.0]])
     b = np.array([[0.5, 0.25j], [-0.25j, 3.0]])
@@ -94,7 +96,7 @@ def test_scipy_is_loaded_only_by_concat(run):
     for name in ("import", "spec", "measure", "evolve", "verify"):
         assert not steps[name][2], f"scipy was loaded by {name}"
 
-    _, out, scipy_loaded, _ = steps["concat"]
+    _, out, scipy_loaded, *_ = steps["concat"]
     assert scipy_loaded
     assert out == dumps_value("operator", concatenate(a, b))
     c = loads_value("operator", out)
@@ -112,3 +114,8 @@ def test_cli_loads_only_the_modules_a_subcommand_runs(run):
         loaded = set(steps[name][3])
         assert not loaded & {f"finobs.{m}" for m in modules}, f"{name} loaded {sorted(loaded)}"
     assert "finobs.verify" in steps["verify"][3]
+
+
+def test_a_one_check_suite_loads_no_process_pool(run):
+    _, _, steps = run
+    assert steps["verify"][4] == []

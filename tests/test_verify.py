@@ -1,6 +1,12 @@
-"""How `verify.run_suite` reports a check that raises."""
+"""How `verify.run_suite` reports a check that raises or a worker that dies."""
 
 import functools
+import multiprocessing
+import os
+import signal
+import threading
+
+import pytest
 
 from finobs import verify
 
@@ -31,3 +37,29 @@ def test_a_crashed_check_reports_its_own_name(monkeypatch):
     assert [r.name for r in results] == REPORT_NAMES
     assert all(not r.passed for r in results)
     assert {r.detail for r in results} == {"raised RuntimeError: raised by the test"}
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the checks run in forked workers")
+def test_a_dead_worker_fails_the_checks_left_without_a_result(monkeypatch, capfd):
+    caller = os.getpid()
+    first, second, third = verify.SUITES["socks"]
+
+    @functools.wraps(second)
+    def killing(seed):
+        if os.getpid() != caller:
+            os.kill(os.getpid(), signal.SIGKILL)
+        raise RuntimeError("ran in the calling process")
+
+    monkeypatch.setitem(verify.SUITES, "socks", (first, killing, third))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    got = []
+    runner = threading.Thread(target=lambda: got.extend(verify.run_suite("socks", 0)), daemon=True)
+    runner.start()
+    runner.join(60)
+    assert not runner.is_alive(), "run_suite hangs after a worker died"
+    assert [r.name for r in got] == REPORT_NAMES[10:13]
+    for r in got:
+        assert r.passed or r.detail.startswith("raised BrokenProcessPool: "), r
+    assert not any(r.passed for r in got[1:])
+    assert multiprocessing.active_children() == []
+    assert capfd.readouterr().err == ""

@@ -1,10 +1,13 @@
 """Every public construction is replayed by `verify`, or declared here.
 
-`verify.run_suite("all", 0)` runs once under cProfile, and the code
-objects it reaches are read from the profile, so a function cannot hide
-behind another of the same name.  Each name in `finobs.__all__` must be
-reached: a function by its own code, a class by its `__post_init__` and
-by every public method and property it defines in `src/finobs`.
+Every check of `verify --suite all` runs once at seed 0 in this process
+under cProfile (a profiler cannot see into the workers `run_suite`
+forks), and the code objects it reaches are read from the profile, so a
+function cannot hide behind another of the same name.  The checks are
+the ones `run_suite` dispatches to, and its results through the workers
+must equal theirs.  Each name in `finobs.__all__` must be reached: a
+function by its own code, a class by its `__post_init__` and by every
+public method and property it defines in `src/finobs`.
 Dataclass-generated methods, submodules and the exception types, which
 only failure paths raise, are out of scope.
 
@@ -77,15 +80,27 @@ def _public_code():
 
 
 @pytest.fixture(scope="module")
-def unreached():
+def in_process():
+    """The results of every check of "all" at seed 0, run here under the
+    profiler, and the code objects they reached."""
     profiler = cProfile.Profile()
     profiler.enable()
     try:
-        verify.run_suite("all", 0)
+        results = [fn(0) for suite in verify.SUITE_ORDER for fn in verify.SUITES[suite]]
     finally:
         profiler.disable()
-    reached = {entry.code for entry in profiler.getstats()}
+    return results, {entry.code for entry in profiler.getstats()}
+
+
+@pytest.fixture(scope="module")
+def unreached(in_process):
+    _, reached = in_process
     return {name for name, code in _public_code().items() if code not in reached}
+
+
+def test_the_workers_report_what_the_checks_report_in_process(in_process):
+    results, _ = in_process
+    assert verify.run_suite("all", 0) == results
 
 
 def test_the_scan_sees_functions_classes_methods_and_properties():
