@@ -269,8 +269,9 @@ class SymbolicSubspace:
 
     A finite subspace's window is exactly the atoms its rows touch; a
     cofinite one's is the least exclusion set, holding no atom whose
-    basis vector lies in the span.  `finite` and `exclude` are derived
-    views.  Use `subspace` to build one.
+    basis vector lies in the span.  The rows are orthonormalized once, by
+    `subspace` or `checked_subspace`, and every lattice operation trusts
+    them as stored; `finite` and `exclude` are derived views.
     """
 
     window: tuple
@@ -329,18 +330,15 @@ def _canonical(rows, window, cofinite):
     `window`, plus the full space off the window when `cofinite`.
 
     A finite span keeps only the atoms its rows touch; a cofinite one
-    releases, one at a time, the atoms whose basis vector is in the span.
+    releases every atom whose basis vector is in the span in one step:
+    the cut leaves a part of the span, so it holds no atom left to release.
     """
     if not cofinite:
         rows, window = _touched(rows, window)
     rows = numeric.orth_rows(rows)
-    while cofinite and (inside := _inside(rows)).any():
-        pos = int(np.argmax(inside))
-        # the deflation, not a plain column slice, sets the signs of the zeros the SVD sees
-        deflated = rows - np.outer(rows[:, pos], np.eye(len(window), dtype=complex)[pos])
-        keep = [i for i in range(len(window)) if i != pos]
-        rows = numeric.orth_rows(deflated[:, keep])
-        window = [window[i] for i in keep]
+    if cofinite and (inside := _inside(rows)).any():
+        rows = numeric.orth_rows(rows[:, ~inside])
+        window = [a for a, released in zip(window, inside) if not released]
     rows = _drop_small(rows)
     if not cofinite:
         rows, window = _touched(rows, window)
@@ -390,12 +388,12 @@ def checked_subspace(vectors, exclude):
 
 
 def _full_rows(space, window):
-    """Rows spanning the subspace inside the window's coordinate space."""
+    """The stored rows over `window`, plus a cofinite space's unit rows off its own window."""
     rows = _rows_over(space, window)
     if space.cofinite:
         free = [i for i, a in enumerate(window) if a not in space.window]
         rows = np.vstack([rows, np.eye(len(window), dtype=complex)[free]])
-    return numeric.orth_rows(rows)
+    return rows
 
 
 def _joint_window(s1, s2):
@@ -405,12 +403,7 @@ def _joint_window(s1, s2):
 def subspace_meet(s1, s2):
     """Lattice meet: the intersection, computed inside a shared window."""
     window = _joint_window(s1, s2)
-    r1 = _full_rows(s1, window)
-    r2 = _full_rows(s2, window)
-    if r1.shape[0] == 0 or r2.shape[0] == 0:
-        shared = np.zeros((0, len(window)), dtype=complex)
-    else:
-        shared = numeric.intersect_rows(r1, r2, numeric.SPAN)
+    shared = numeric.intersect_rows(_full_rows(s1, window), _full_rows(s2, window), numeric.SPAN)
     return _canonical(_drop_small(shared), window, s1.cofinite and s2.cofinite)
 
 
@@ -418,8 +411,7 @@ def subspace_join(s1, s2):
     """Lattice join: the closed sum, always inside the subspace class."""
     window = _joint_window(s1, s2)
     stacked = np.vstack([_full_rows(s1, window), _full_rows(s2, window)])
-    rows = _drop_small(numeric.orth_rows(stacked))
-    return _canonical(rows, window, s1.cofinite or s2.cofinite)
+    return _canonical(_drop_small(stacked), window, s1.cofinite or s2.cofinite)
 
 
 def subspace_equal(s1, s2):
