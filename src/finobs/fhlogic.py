@@ -269,9 +269,10 @@ class SymbolicSubspace:
 
     A finite subspace's window is exactly the atoms its rows touch; a
     cofinite one's is the least exclusion set, holding no atom whose
-    basis vector lies in the span.  The rows are orthonormalized once, by
-    `subspace` or `checked_subspace`, and every lattice operation trusts
-    them as stored; `finite` and `exclude` are derived views.
+    basis vector lies in the span.  Rows are orthonormal to rounding when
+    built, and only within SPAN when `checked_subspace` keeps them as
+    stored, so a meet orthonormalizes its operands again; a join's SVD
+    takes any rows.  `finite` and `exclude` are derived views.
     """
 
     window: tuple
@@ -330,13 +331,14 @@ def _canonical(rows, window, cofinite):
     `window`, plus the full space off the window when `cofinite`.
 
     A finite span keeps only the atoms its rows touch; a cofinite one
-    releases every atom whose basis vector is in the span in one step:
-    the cut leaves a part of the span, so it holds no atom left to release.
+    releases every atom whose basis vector is in the span.  One cut
+    releases them all in exact arithmetic; in floating point the cut
+    repeats while the renormalized rest has an atom inside.
     """
     if not cofinite:
         rows, window = _touched(rows, window)
     rows = numeric.orth_rows(rows)
-    if cofinite and (inside := _inside(rows)).any():
+    while cofinite and (inside := _inside(rows)).any():
         rows = numeric.orth_rows(rows[:, ~inside])
         window = [a for a, released in zip(window, inside) if not released]
     rows = _drop_small(rows)
@@ -401,9 +403,10 @@ def _joint_window(s1, s2):
 
 
 def subspace_meet(s1, s2):
-    """Lattice meet: the intersection, computed inside a shared window."""
+    """Lattice meet: the intersection of the orthonormalized operands in a shared window."""
     window = _joint_window(s1, s2)
-    shared = numeric.intersect_rows(_full_rows(s1, window), _full_rows(s2, window), numeric.SPAN)
+    q1, q2 = (numeric.orth_rows(_full_rows(s, window)) for s in (s1, s2))
+    shared = numeric.intersect_rows(q1, q2, numeric.SPAN)
     return _canonical(_drop_small(shared), window, s1.cofinite and s2.cofinite)
 
 

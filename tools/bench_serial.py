@@ -60,14 +60,18 @@ def child():
     return {"runs": runs[1:], "calls": counts, "bytes": size, "numpy": numpy.__version__}
 
 
-def run_child(tree):
+def tree_env(tree):
+    """Environment that runs checkout `tree` from its own `src` and `bench`
+    on one BLAS thread, with the tools importable by a child."""
     tree = Path(tree).resolve()
-    env = dict(os.environ, **THREADS)
-    env["PYTHONPATH"] = f"{tree / 'src'}{os.pathsep}{tree / 'bench'}"
-    code = (f"import sys, json; sys.path.insert(0, {str(Path(__file__).parent)!r}); "
-            "import bench_serial; print(json.dumps(bench_serial.child()))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, cwd=tree, check=True,
-                         capture_output=True, text=True).stdout
+    path = [tree / "src", tree / "bench", Path(__file__).resolve().parent]
+    return dict(os.environ, **THREADS, PYTHONPATH=os.pathsep.join(map(str, path)))
+
+
+def run_child(tree):
+    code = "import json, bench_serial; print(json.dumps(bench_serial.child()))"
+    out = subprocess.run([sys.executable, "-c", code], env=tree_env(tree), cwd=tree,
+                         check=True, capture_output=True, text=True).stdout
     return json.loads(out.splitlines()[-1])
 
 

@@ -23,14 +23,14 @@ another subspace, else 0.
 """
 
 import json
-import os
 import random
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
-THREADS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+from bench_serial import tree_env
+
 VERIFY_SEEDS = (0, 42, 1234)
 CLI_SEEDS = range(12)
 LATTICE_SEED, LATTICE_TRIPLES = 15, 100
@@ -38,10 +38,8 @@ LATTICE_KINDS = ("subspace", "meet", "join", "nested")
 
 
 def env_for(tree):
-    env = dict(os.environ, **THREADS)
+    env = tree_env(tree)
     env.pop("FINOBS_SEED", None)  # it would override every --seed
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(tree / "src"), str(tree / "bench"), str(Path(__file__).resolve().parent)])
     env["PYTHONHASHSEED"] = "0"
     return env
 
