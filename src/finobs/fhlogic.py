@@ -73,7 +73,7 @@ class FHOperator:
         if not (np.isfinite(block).all() and cmath.isfinite(tail)):
             raise ValidationError("block and tail must be finite")
         if self.symmetric:
-            if not numeric.within(block - block.conj().T, numeric.HERMITIAN):
+            if not numeric.hermitian(block, numeric.HERMITIAN):
                 raise ValidationError("symmetric-flagged block is not Hermitian")
             if not numeric.within(abs(tail.imag), numeric.REAL * (1.0 + abs(tail))):
                 raise ValidationError("symmetric-flagged tail must be real")
@@ -193,7 +193,7 @@ def decompose_equivariant(matrix, atoms):
     support = tuple(support_atoms[i] for i in order)
     rows = [keep[i] for i in order]
     block = matrix[np.ix_(rows, rows)]
-    symmetric = numeric.within(matrix - matrix.conj().T, numeric.HERMITIAN)
+    symmetric = numeric.hermitian(matrix, numeric.HERMITIAN)
     return canonicalize(FHOperator(support, block, tail, symmetric), tol=numeric.EQUIVARIANT)
 
 

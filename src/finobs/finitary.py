@@ -104,9 +104,7 @@ def check_hermitian(m):
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {m.shape}")
-    with np.errstate(over="ignore", invalid="ignore"):  # within() fails closed on inf and NaN
-        skew = m - m.conj().T
-    if not numeric.within(skew, numeric.HERMITIAN):
+    if not numeric.hermitian(m, numeric.HERMITIAN):
         raise ValidationError("matrix is not Hermitian within tolerance")
     return m
 
@@ -161,16 +159,17 @@ def _expand(basis, x):
 
 def _domain_coefficients(system, x):
     """Coefficients of x; OutsideDomain if the domain misses x by over DOMAIN |x|."""
-    coeff, resid = _expand(system.vectors, x)
-    norm, peak = np.linalg.norm(x), 1.0
-    if norm == 0.0 and np.any(x):
-        # |x|^2 underflowed, and the residual with it; the test is
-        # scale-free, so decide it on x / max|x|
-        peak = np.max(np.abs(x))
-        unit = np.divide(x, peak)
-        resid, norm = _expand(system.vectors, unit)[1], np.linalg.norm(unit)
-    if not numeric.within(resid, numeric.DOMAIN * norm):
-        raise OutsideDomain(resid * peak)
+    with np.errstate(over="ignore", invalid="ignore"):  # within() fails closed on NaN
+        coeff, resid = _expand(system.vectors, x)
+        norm, peak = np.linalg.norm(x), 1.0
+        if not 0.0 < norm < np.inf and np.any(x):
+            # |x|^2 underflowed or overflowed, and the residual with it;
+            # the test is scale-free, so decide it on x / max(|Re x|, |Im x|)
+            peak = max(np.max(np.abs(np.real(x))), np.max(np.abs(np.imag(x))))
+            unit = np.divide(x, peak)
+            resid, norm = _expand(system.vectors, unit)[1], np.linalg.norm(unit)
+        if not numeric.within(resid, numeric.DOMAIN * norm):
+            raise OutsideDomain(resid * peak)
     return coeff
 
 

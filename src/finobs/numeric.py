@@ -55,6 +55,12 @@ def within(residual, tol):
     return bool(residual <= tol)
 
 
+def hermitian(m, tol):
+    """Is the square matrix m Hermitian within `tol`?  A skew part that overflows is not."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return within(m - m.conj().T, tol)
+
+
 def orthonormal(rows, tol):
     """Are the rows orthonormal within `tol`?  A Gram product that overflows is not."""
     with np.errstate(over="ignore", invalid="ignore"):

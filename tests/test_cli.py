@@ -698,3 +698,37 @@ def test_fuzz_every_kind_never_tracebacks(kind, base_dir, data):
     assert "Traceback" not in done.stderr
     if done.returncode == 2:
         assert _TOLERANCE_MESSAGE.search(done.stderr), done.stderr
+
+
+# Every numeric leaf of every base document takes each value of
+# _EXTREMES in turn: a deterministic sweep beside the random gate, for
+# the overflow and underflow that a random draw reaches only by luck.
+_EXTREMES = (1.3407807929942597e154, -1.3407807929942597e154, 1e200, 1e308, 5e-324, 1e-170)
+
+
+def _leaf(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+_NUMERIC_LEAVES = {
+    kind: [p for p in _paths(doc) if type(_leaf(doc, p)) in (int, float)]
+    for kind, doc in _BASE.items()
+}
+
+
+@pytest.mark.parametrize("kind", sorted(k for k, leaves in _NUMERIC_LEAVES.items() if leaves))
+def test_extreme_numeric_leaves_exit_cleanly_without_warnings(kind, base_dir):
+    path = base_dir / f"extreme-{kind}.json"
+    for leaf in _NUMERIC_LEAVES[kind]:
+        for value in _EXTREMES:
+            path.write_text(json.dumps(_replace(json.loads(json.dumps(_BASE[kind])), leaf, value)))
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                done = _run_reader(kind, path, base_dir)
+            case = f"{leaf} = {value!r}"
+            assert done.returncode in (0, 1, 2), f"{case}: {done.stderr}"
+            assert not caught, f"{case}: {[str(w.message) for w in caught]}"
+            if done.returncode == 2:
+                assert _TOLERANCE_MESSAGE.search(done.stderr), f"{case}: {done.stderr}"

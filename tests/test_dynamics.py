@@ -139,6 +139,24 @@ def test_concatenate_general_pair():
     assert np.all(phases >= -PHASE_TOL) and np.all(phases < 2.0 * np.pi)
 
 
+@pytest.mark.parametrize("phases", [
+    *[(np.pi / 2, -np.pi / 2 + delta, 1.0) for delta in (0.0, 1e-12, 1e-9, 2e-8, 3e-8, 1e-7)],
+    (0.7, 0.7, np.pi / 2, -np.pi / 2),
+])
+def test_concatenate_separates_near_conjugate_and_repeated_phases(phases):
+    # the cosines of pi/2 and -pi/2 + delta differ by about delta, so an
+    # eigenbasis split by the real part (r + r*)/2 would mix the two
+    rng = np.random.default_rng(7)
+    d = len(phases)
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    a = (q * np.array(phases)) @ q.conj().T
+    a = (a + a.conj().T) / 2.0
+    b = np.zeros_like(a)
+    c = concatenate(a, b)
+    rhs = scipy.linalg.expm(-1j * a) @ scipy.linalg.expm(-1j * b)
+    assert np.max(np.abs(scipy.linalg.expm(-1j * c) - rhs)) < 1e-12
+
+
 def test_concatenate_dimension_mismatch_message():
     with pytest.raises(ValidationError, match="first operator is 2, second is 3"):
         concatenate(np.eye(2), np.eye(3))

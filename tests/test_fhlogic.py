@@ -76,6 +76,9 @@ def test_fh_operator_validation():
         FHOperator(("p", "q"), np.array([[0.0, 1.0], [0.0, 0.0]]), 0.0, symmetric=True)
     with pytest.raises(ValidationError):
         FHOperator((), np.zeros((0, 0)), 1.0j, symmetric=True)
+    # the skew part 2e308j overflows; the pytest config makes a numpy warning an error
+    with pytest.raises(ValidationError, match="^symmetric-flagged block is not Hermitian$"):
+        FHOperator(("p",), np.array([[1e308j]]), 0.0, symmetric=True)
 
 
 def test_fh_apply_block_and_tail():

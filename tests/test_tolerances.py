@@ -123,10 +123,12 @@ def test_no_public_function_takes_a_tolerance():
 
 @pytest.mark.parametrize(
     "x",
-    [[0.0, 0.0], [0.0, 1e-170], [1e-170, 1e-170], [0.0, 1e-160], [1e-160, 1e-160], [1e-170, 0.0]],
+    [[0.0, 0.0], [0.0, 1e-170], [1e-170, 1e-170], [0.0, 1e-160], [1e-160, 1e-160], [1e-170, 0.0],
+     [1e200, 0.0], [0.0, 1e200], [1e200, 1e200], [0.0, 1e308 + 1e308j]],
 )
 def test_in_domain_and_apply_share_one_domain_gate(x):
-    # the domain is the first axis; entries of 1e-170 underflow when squared
+    # the domain is the first axis; entries of 1e-170 underflow when
+    # squared and entries of 1e200 overflow
     system = finitary.from_eigenpairs([(2.0, [1.0, 0.0])], 2)
     try:
         finitary.apply(system, x)

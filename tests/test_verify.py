@@ -1,4 +1,5 @@
-"""How `verify.run_suite` reports a check that raises or a worker that dies."""
+"""How `verify.run_suite` reports a check that raises or a worker that
+dies, and the matrix exponential the dynamics checks compare with."""
 
 import functools
 import multiprocessing
@@ -6,7 +7,9 @@ import os
 import signal
 import threading
 
+import numpy as np
 import pytest
+import scipy.linalg
 
 from finobs import verify
 
@@ -63,3 +66,14 @@ def test_a_dead_worker_fails_the_checks_left_without_a_result(monkeypatch, capfd
     assert not any(r.passed for r in got[1:])
     assert multiprocessing.active_children() == []
     assert capfd.readouterr().err == ""
+
+
+@pytest.mark.parametrize("norm", [0.0, 1e-3, 0.5, 1.0, 3.0, 10.0, 30.0, 100.0])
+def test_the_expm_oracle_matches_scipy(norm):
+    # the oracle meets -i t A with A Hermitian, so its arguments are skew-Hermitian
+    rng = np.random.default_rng(11)
+    for d in (1, 2, 5, 8):
+        m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        x = -1j * (m + m.conj().T)
+        x *= norm / np.linalg.norm(x, 2)
+        assert np.max(np.abs(verify._expm(x) - scipy.linalg.expm(x))) < 1e-12
