@@ -17,10 +17,11 @@ def check_state(psi):
     psi = np.asarray(psi, dtype=complex)
     if psi.ndim != 1:
         raise ValidationError("state must be a vector")
-    with np.errstate(over="ignore"):  # within() fails closed on inf
-        norm = np.linalg.norm(psi)
+    norm = numeric.norm(psi)
     if not numeric.within(abs(norm - 1.0), numeric.STATE):
-        raise ValidationError(f"state norm {norm:.6f} is not 1")
+        # fixed point while |psi|^2 is a finite float; past that, exponent form keeps it short
+        shown = f"{norm:.6f}" if norm < 2.0**512 else f"{norm:.6e}"
+        raise ValidationError(f"state norm {shown} is not 1")
     return psi
 
 

@@ -4,9 +4,15 @@ Every tolerance the library compares a residual with is named here,
 once, with what it guards, and so is each rule scaling one by the data
 (`tol_eig`, `tol_comm`, `tol_dedup`).  Callers read them where they are
 used; outside this module only `fhlogic.canonicalize` takes a tolerance.
-Residuals meet them only in `within`, which a NaN residual fails; the
-`verify` pass thresholds are separate, as an independent reference.
+Residuals meet them only in `within`, which an inf or NaN residual or
+tolerance fails; the `verify` pass thresholds are separate, as an
+independent reference.  Overflow has one rule: norms of user data go
+through `norm`, inf only when the norm is; other arithmetic that may
+overflow runs under `np.errstate`, and `within` or `np.isfinite` then
+rejects its inf or NaN.
 """
+
+import math
 
 import numpy as np
 
@@ -49,10 +55,24 @@ def tol_dedup(value_scale):
 
 
 def within(residual, tol):
-    """residual <= tol, False for NaN; an array counts as its largest |entry| (0 if empty)."""
+    """residual <= tol, both finite; an array counts as its largest |entry| (0 if empty)."""
     if isinstance(residual, np.ndarray):
         residual = np.max(np.abs(residual), initial=0.0)
-    return bool(residual <= tol)
+    return bool(abs(residual) < math.inf and residual <= tol < math.inf)
+
+
+def norm(x, axis=None):
+    """np.linalg.norm(x, axis=axis) taken on x / 2**k, 2**k the normal power of two
+    at max(|Re x|, |Im x|) (Blue 1978); the scaling is exact, so in range the bits agree."""
+    x = np.asarray(x)
+    re, im = x.real, x.imag  # reduced in place: a large x gets no temporary copy
+    peak = max(re.max(initial=0.0), -re.min(initial=0.0), im.max(initial=0.0), -im.min(initial=0.0))
+    k = math.frexp(peak)[1]  # 0 for an inf or NaN peak, which a complex scale would warn on
+    if abs(k) < 480:  # |x|^2 stays a normal float: x needs no scaling
+        return np.linalg.norm(x, axis=axis)
+    k = min(max(k, -1022), 1022)
+    with np.errstate(over="ignore"):  # the product overflows only when the norm does
+        return np.linalg.norm(x * 2.0**-k, axis=axis) * 2.0**k
 
 
 def hermitian(m, tol):

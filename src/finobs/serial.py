@@ -107,6 +107,26 @@ def _need(node, kind, ptr, what):
     return node
 
 
+def _as_count(node, ptr):
+    if isinstance(node, bool) or not isinstance(node, int) or node < 0:
+        raise SchemaError(ptr, "expected a nonnegative integer")
+    return node
+
+
+def _as_strings(node, ptr, what):
+    """The list `node` (described as `what`) as a tuple of strings."""
+    node = _need(node, list, ptr, what)
+    return tuple(_need(x, str, f"{ptr}/{i}", "a string") for i, x in enumerate(node))
+
+
+def _built(ptr, ctor, *args):
+    """ctor(*args), its ValidationError re-raised as a SchemaError at `ptr`."""
+    try:
+        return ctor(*args)
+    except ValidationError as exc:
+        raise SchemaError(ptr, str(exc)) from None
+
+
 def _as_number(node, ptr):
     if isinstance(node, bool) or not isinstance(node, (int, float)):
         raise SchemaError(ptr, "expected a number")
@@ -200,9 +220,7 @@ def load_eigensystem(node, ptr=""):
     from .finitary import from_eigenpairs
 
     node = _as_object(node, ptr, ("ambient_dim", "pairs"))
-    dim = node["ambient_dim"]
-    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 0:
-        raise SchemaError(f"{ptr}/ambient_dim", "expected a nonnegative integer")
+    dim = _as_count(node["ambient_dim"], f"{ptr}/ambient_dim")
     pairs_node = _need(node["pairs"], list, f"{ptr}/pairs", "a list of pairs")
     pairs = []
     for i, entry in enumerate(pairs_node):
@@ -263,18 +281,12 @@ def load_partition(node, ptr=""):
     blocks = []
     members = []
     for i, block in enumerate(blocks_node):
-        block = _need(block, list, f"{ptr}/blocks/{i}", "a list of ids")
-        items = tuple(
-            _need(x, str, f"{ptr}/blocks/{i}/{j}", "a string") for j, x in enumerate(block)
-        )
+        items = _as_strings(block, f"{ptr}/blocks/{i}", "a list of ids")
         blocks.append(items)
         members.extend(items)
     elements = sorted(set(members) - {distinguished})
     objects = ObjectSet(tuple(elements), distinguished)
-    try:
-        return PartitionPlus(objects, tuple(blocks))
-    except ValidationError as exc:
-        raise SchemaError(f"{ptr}/blocks", str(exc)) from None
+    return _built(f"{ptr}/blocks", PartitionPlus, objects, tuple(blocks))
 
 
 def save_partition(partition):
@@ -299,14 +311,9 @@ def load_tensor(node, ptr=""):
     from .socks import SignedTensor
 
     node = _as_object(node, ptr, ("N", "table"))
-    n = node["N"]
-    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
-        raise SchemaError(f"{ptr}/N", "expected a nonnegative integer")
+    n = _as_count(node["N"], f"{ptr}/N")
     table = _as_vector(node["table"], f"{ptr}/table")
-    try:
-        return SignedTensor(n, table)
-    except ValidationError as exc:
-        raise SchemaError(f"{ptr}/table", str(exc)) from None
+    return _built(f"{ptr}/table", SignedTensor, n, table)
 
 
 def save_tensor(t):
@@ -316,12 +323,7 @@ def save_tensor(t):
 def load_flips(node, ptr=""):
     node = _as_object(node, ptr, ("pairs",))
     pairs_node = _need(node["pairs"], list, f"{ptr}/pairs", "a list of pair indices")
-    out = []
-    for i, p in enumerate(pairs_node):
-        if isinstance(p, bool) or not isinstance(p, int) or p < 0:
-            raise SchemaError(f"{ptr}/pairs/{i}", "expected a nonnegative integer")
-        out.append(p)
-    return frozenset(out)
+    return frozenset(_as_count(p, f"{ptr}/pairs/{i}") for i, p in enumerate(pairs_node))
 
 
 def save_flips(pairs):
@@ -332,10 +334,7 @@ def load_fhoperator(node, ptr=""):
     from .fhlogic import FHOperator
 
     node = _as_object(node, ptr, ("support", "F", "tail"), optional=("symmetric",))
-    support_node = _need(node["support"], list, f"{ptr}/support", "a list of atom ids")
-    support = tuple(
-        _need(a, str, f"{ptr}/support/{i}", "a string") for i, a in enumerate(support_node)
-    )
+    support = _as_strings(node["support"], f"{ptr}/support", "a list of atom ids")
     block = _as_matrix(node["F"], f"{ptr}/F")
     if block.shape != (len(support), len(support)) and len(support):
         raise SchemaError(f"{ptr}/F", f"expected a {len(support)}x{len(support)} matrix")
@@ -343,10 +342,7 @@ def load_fhoperator(node, ptr=""):
     symmetric = node.get("symmetric", False)
     if not isinstance(symmetric, bool):
         raise SchemaError(f"{ptr}/symmetric", "expected a boolean")
-    try:
-        return FHOperator(support, block, tail, symmetric)
-    except ValidationError as exc:
-        raise SchemaError(ptr, str(exc)) from None
+    return _built(ptr, FHOperator, support, block, tail, symmetric)
 
 
 def save_fhoperator(op):
@@ -370,15 +366,9 @@ def load_subspace(node, ptr=""):
         entry = _need(entry, dict, f"{ptr}/finite/{i}", "an atom-to-[re, im] object")
         values = _as_vector(list(entry.values()), f"{ptr}/finite/{i}", keys=entry)
         vectors.append(FiniteSupportVector(dict(zip(entry, values.tolist()))))
-    excl_node = node["cofinite_excluding"]
-    if excl_node is None:
-        exclude = None
-    else:
-        excl_node = _need(excl_node, list, f"{ptr}/cofinite_excluding", "a list or null")
-        exclude = [
-            _need(a, str, f"{ptr}/cofinite_excluding/{i}", "a string")
-            for i, a in enumerate(excl_node)
-        ]
+    exclude = node["cofinite_excluding"]
+    if exclude is not None:
+        exclude = _as_strings(exclude, f"{ptr}/cofinite_excluding", "a list or null")
     # canonical input keeps its exact coordinates; anything else is
     # renormalized into canonical form
     direct = checked_subspace(vectors, exclude)
@@ -427,24 +417,15 @@ def load_labeling_family(node, ptr=""):
     from .measurement import LabelSet, ObjectSet, PartialLabeling
 
     node = _as_object(node, ptr, ("objects", "distinguished", "labels", "labelings"))
-    objects_node = _need(node["objects"], list, f"{ptr}/objects", "a list of ids")
-    if len(objects_node) > MAX_FAMILY_OBJECTS:
+    elements = _as_strings(node["objects"], f"{ptr}/objects", "a list of ids")
+    if len(elements) > MAX_FAMILY_OBJECTS:
         raise SchemaError(
-            f"{ptr}/objects", f"{len(objects_node)} objects exceed the cap of {MAX_FAMILY_OBJECTS}"
+            f"{ptr}/objects", f"{len(elements)} objects exceed the cap of {MAX_FAMILY_OBJECTS}"
         )
-    elements = tuple(
-        _need(x, str, f"{ptr}/objects/{i}", "a string") for i, x in enumerate(objects_node)
-    )
     distinguished = _need(node["distinguished"], str, f"{ptr}/distinguished", "a string")
-    labels_node = _need(node["labels"], list, f"{ptr}/labels", "a list of labels")
-    labels = tuple(
-        _need(y, str, f"{ptr}/labels/{i}", "a string") for i, y in enumerate(labels_node)
-    )
-    try:
-        objects = ObjectSet(elements, distinguished)
-        label_set = LabelSet(labels)
-    except ValidationError as exc:
-        raise SchemaError(ptr, str(exc)) from None
+    labels = _as_strings(node["labels"], f"{ptr}/labels", "a list of labels")
+    objects = _built(ptr, ObjectSet, elements, distinguished)
+    label_set = _built(ptr, LabelSet, labels)
     labelings_node = _need(node["labelings"], list, f"{ptr}/labelings", "a list")
     tables = []
     for i, entry in enumerate(labelings_node):
@@ -457,12 +438,10 @@ def load_labeling_family(node, ptr=""):
         )
     family = []
     for i, entries in enumerate(tables):
+        where = f"{ptr}/labelings/{i}"
         for x, y in entries.items():
-            _need(y, str, f"{ptr}/labelings/{i}/entries/{_pointer_key(x)}", "a string")
-        try:
-            family.append(PartialLabeling(objects, label_set, dict(entries)))
-        except ValidationError as exc:
-            raise SchemaError(f"{ptr}/labelings/{i}", str(exc)) from None
+            _need(y, str, f"{where}/entries/{_pointer_key(x)}", "a string")
+        family.append(_built(where, PartialLabeling, objects, label_set, dict(entries)))
     return objects, label_set, family
 
 

@@ -520,6 +520,17 @@ def test_overflowing_inputs_exit_1_without_numpy_warnings(workdir):
         assert done == (1, "", "error: expectation value overflows\n")
 
 
+def test_spec_of_a_huge_diagonal_matrix_exits_0_without_warnings(workdir):
+    _, write = workdir
+    huge = write("huge.json", "[[[1e300, 0], [0, 0]], [[0, 0], [1e299, 0]]]")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        done = run_cli("spec", "--operator", huge)
+    assert (done.returncode, done.stderr, caught) == (0, "", [])
+    values = [pair["value"] for pair in json.loads(done.stdout)["pairs"]]
+    assert values == pytest.approx([1e299, 1e300], rel=1e-15)
+
+
 def test_a_stored_subspace_whose_gram_overflows_is_recanonicalized(workdir):
     _, write = workdir
     big = write("big.json", '{"finite": [{"q0": [1e160, 0]}], "cofinite_excluding": null}')

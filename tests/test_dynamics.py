@@ -36,6 +36,22 @@ def test_state_and_density_validation():
     assert check_state([1.0, 0.0]) is not None
 
 
+@pytest.mark.parametrize(
+    "psi, shown",
+    [
+        ([1e308] * 3, "1.732051e+308"),
+        ([0.0, 1e200j], "1.000000e+200"),
+        # a norm whose square is a finite float keeps its fixed-point text
+        ([1e30, 0.0], "1000000000000000019884624838656.000000"),
+        ([1e-170, 0.0], "0.000000"),
+    ],
+)
+def test_check_state_names_the_norm_of_a_huge_state_in_exponent_form(psi, shown):
+    with pytest.raises(ValidationError) as info:
+        check_state(psi)
+    assert str(info.value) == f"state norm {shown} is not 1"
+
+
 def test_evolve_rotates_eigencomponents():
     system = diagonalize(np.diag([0.0, np.pi]))
     psi0 = np.array([1.0, 1.0]) / np.sqrt(2.0)

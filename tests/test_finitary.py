@@ -1,5 +1,7 @@
 """Eigen-data operators: construction, calculus, joint diagonalization."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -105,6 +107,36 @@ def test_orbit_span_dim():
     assert orbit_span_dim(m, np.zeros(3), cap=5) == 0
     with pytest.raises(ValidationError):
         orbit_span_dim(m, E0, cap=0)
+
+
+def test_huge_operators_and_vectors_need_no_numpy_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert orbit_span_dim(np.eye(2), [1e200, 1e200], 2) == 1
+        assert orbit_span_dim(1e200 * np.eye(2), [1.0, 1.0], 2) == 1
+        assert diagonalize(1e300 * np.eye(3)).values == pytest.approx([1e300] * 3, rel=1e-15)
+        big = diagonalize(np.diag([1e300, 1e299])).values
+        assert big == pytest.approx([1e299, 1e300], rel=1e-15)
+
+
+def test_apply_rejects_an_image_that_overflows():
+    system = from_eigenpairs([(2.0, [1.0, 0.0])], 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert apply(system, [1e307, 0.0]).tolist() == [2e307, 0.0]
+        with pytest.raises(ValidationError, match="^operator image overflows$"):
+            apply(system, [1e308, 0.0])
+        assert in_domain(system, [1e308, 0.0])
+
+
+def test_the_domain_gate_fails_closed_on_a_vector_whose_norm_overflows():
+    # |x| = 2e308 is not a float, and neither is the tolerance DOMAIN |x|
+    system = from_eigenpairs([(2.0, [1.0, 0.0])], 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not in_domain(system, [1e308 + 1e308j, 1e308 + 1e308j])
+        assert not in_domain(diag_system(*range(5)), [1e308] * 5)
+        assert in_domain(system, [1e308 + 1e308j, 0.0])
 
 
 def test_restrict_to_invariant_subspace():

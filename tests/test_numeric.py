@@ -1,5 +1,7 @@
 """Shared kernels, and validators that must reject NaN instead of passing it."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,15 @@ def test_within_is_a_nan_safe_at_most():
     assert type(numeric.within(np.float64(0.5), 1.0)) is bool
 
 
+def test_within_fails_an_infinite_residual_or_tolerance():
+    inf = float("inf")
+    assert not numeric.within(inf, inf)
+    assert not numeric.within(-inf, 0.0)
+    assert not numeric.within(np.array([0.0, complex(inf, 0.0)]), 1.0)
+    assert not numeric.within(0.0, inf)
+    assert numeric.within(1e308, np.finfo(float).max)
+
+
 def test_within_reduces_an_array_to_its_largest_magnitude():
     assert numeric.within(np.array([[0.5, -1.0j], [0.25, -1.0]]), 1.0)
     assert not numeric.within(np.array([0.5, -1.0 - 1e-12]), 1.0)
@@ -48,6 +59,49 @@ def test_within_reduces_an_array_to_its_largest_magnitude():
     assert not numeric.within(np.array([complex(0.0, NAN)]), 1.0)
     assert numeric.within(np.zeros((0, 3)), 0.0)
     assert type(numeric.within(np.zeros(2), 1.0)) is bool
+
+
+def test_norm_has_the_bits_of_the_plain_norm_in_range():
+    rng = np.random.default_rng(17)
+    # scales of 1e+-145 to 1e+-150 take the scaled branch with |x|^2 still a normal float
+    near_edge = rng.uniform(145.0, 150.0, 20) * rng.choice([-1.0, 1.0], 20)
+    for exponent in np.concatenate([rng.uniform(-150.0, 150.0, 40), near_edge]):
+        n = int(rng.integers(1, 12))
+        scale = 10.0**exponent
+        m = scale * (rng.standard_normal((n, n + 2)) + 1j * rng.standard_normal((n, n + 2)))
+        for x in (m[0], m[:, 1], m[::2, 1::3].ravel(), m[-1, ::2]):
+            assert numeric.norm(x) == np.linalg.norm(x)
+        assert numeric.norm(m[::-1, 1::2], axis=0).tolist() == np.linalg.norm(
+            m[::-1, 1::2], axis=0
+        ).tolist()
+
+
+@pytest.mark.parametrize(
+    "x, expected",
+    [
+        ([1e308] * 3, 1.7320508075688772e308),
+        ([5e-324, 0.0], 5e-324),
+        ([1e-170] * 2, 1.4142135623730951e-170),
+        ([0.0, 0.0], 0.0),
+        ([1e308j, 1e308], 1.4142135623730951e308),
+    ],
+)
+def test_norm_neither_overflows_nor_underflows_short_of_the_result(x, expected):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = numeric.norm(np.asarray(x, dtype=complex))
+        column = numeric.norm(np.asarray(x, dtype=complex)[:, None], axis=0)
+    assert got == pytest.approx(expected, rel=1e-15, abs=0.0)
+    assert column.tolist() == [got]
+
+
+def test_norm_is_inf_or_nan_only_when_the_result_is():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert numeric.norm([1e308] * 4) == np.inf
+        assert numeric.norm(np.full((4, 1), 1e308), axis=0).tolist() == [np.inf]
+        assert numeric.norm([complex(np.inf, 0.0), 1.0]) == np.inf
+        assert np.isnan(numeric.norm([NAN, 1e300]))
 
 
 def test_live_keeps_magnitudes_above_tol_and_nan():
