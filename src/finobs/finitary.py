@@ -256,9 +256,12 @@ def commeasurable(systems):
         return True
     basis = systems[0].vectors
     mats = [s.matrix() for s in systems]
-    for (a, ma), (b, mb) in combinations(zip(systems, mats), 2):
+    # over 2**k, k > 0 where products could overflow: exact, so in range the bits agree
+    scales = [2.0 ** -max(numeric.scale_exponent(m), 0) for m in mats]
+    mats = [m * c for m, c in zip(mats, scales)]
+    for (a, ma, ca), (b, mb, cb) in combinations(zip(systems, mats, scales), 2):
         residuals = numeric.norm((ma @ mb - mb @ ma) @ basis.T, axis=0)
-        if not numeric.within(residuals, numeric.tol_comm(a.norm(), b.norm())):
+        if not numeric.within(residuals, numeric.tol_comm(a.norm() * ca, b.norm() * cb, ca * cb)):
             return False
     return True
 
@@ -345,8 +348,11 @@ def deduplicate_values(values):
 def minimal_polynomial(system):
     """Monic annihilator with one root per deduplicated eigenvalue."""
     roots = deduplicate_values(system.values)
-    coeffs = np.polynomial.polynomial.polyfromroots(roots)
-    return Polynomial(tuple(float(c) for c in np.real(coeffs)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = np.real(np.polynomial.polynomial.polyfromroots(roots))
+    if not np.all(np.isfinite(coeffs)):
+        raise ValidationError("minimal polynomial coefficients overflow")
+    return Polynomial(tuple(float(c) for c in coeffs))
 
 
 def is_complete(system):

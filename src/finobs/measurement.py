@@ -98,7 +98,7 @@ class PartialLabeling:
                 raise ValidationError(f"label {y!r} outside the label set")
             slots[i] = (x, y)
             fibers[y] = fibers.get(y, 0) | 1 << i
-        object.__setattr__(self, "entries", tuple(p for p in slots if p is not None))
+        object.__setattr__(self, "entries", tuple(filter(None, slots)))
         object.__setattr__(self, "_fibers", tuple(fibers.values()))
 
     def as_dict(self):
@@ -125,7 +125,8 @@ class Scale:
 
 @dataclass(frozen=True)
 class PartitionPlus:
-    """Partition of X union {a}; blocks ordered by least element, so a's is 0."""
+    """Partition of X union {a}; blocks ordered by least element, so a's is 0.
+    Only blocks the library builds canonical skip the checks, through `_canonical`."""
 
     objects: ObjectSet
     blocks: tuple
@@ -148,12 +149,23 @@ class PartitionPlus:
             raise ValidationError("blocks do not cover X plus the distinguished element")
         norm.sort(key=lambda b: key(b[0]))
         object.__setattr__(self, "blocks", tuple(norm))
-        position = self.objects._position
         where = [0] * len(covered)
         for i, block in enumerate(norm):
             for x in block:
-                where[position[x] + 1] = i
+                where[key(x) + 1] = i
         object.__setattr__(self, "_where", tuple(where))
+
+    @classmethod
+    def _canonical(cls, objects, where):
+        """Unchecked: `where` numbers the blocks densely by least element, as `_where`."""
+        blocks = [[] for _ in range(max(where) + 1)]
+        for x, b in zip(objects.universe(), where):
+            blocks[b].append(x)
+        self = object.__new__(cls)
+        for name, value in zip(("objects", "blocks", "_where"),
+                               (objects, tuple(map(tuple, blocks)), tuple(where))):
+            object.__setattr__(self, name, value)
+        return self
 
     def block_index(self):
         """Map each element to the index of its block."""
@@ -225,7 +237,7 @@ def partition_of_family(objects, labels, family):
     """
     kinds = set()  # the label fibers of the members, each tuple once
     for f in family:
-        if _outside(f, objects, labels):
+        if (f.objects is not objects or f.labels is not labels) and _outside(f, objects, labels):
             raise ValidationError("family member over a different object or label set")
         kinds.add(f._fibers)
     apart = {}  # measured object number -> objects some member separates from it
@@ -237,10 +249,12 @@ def partition_of_family(objects, labels, family):
                 apart[i] = apart.get(i, 0) | others
     dom = sum(1 << i for i in apart)
     row = {i: dom & ~apart[i] for i in sorted(apart)}  # i and the objects linked to it
-    group = {}  # each distinct row -> the objects whose row it is
+    names = objects.elements
+    group, number = {}, {}  # each distinct row -> the objects whose row it is; -> its block
+    where = [0] * (len(names) + 1)  # as `_where`: rows, by first object, follow {a}'s 0
     for i, linked in row.items():
         group[linked] = group.get(linked, 0) | 1 << i
-    names = objects.elements
+        where[i + 1] = number.setdefault(linked, len(number) + 1)
     # linking is transitive iff every row is its own group; whether a row
     # holds a witness depends on the row alone, and two rows that hold none
     # are disjoint, so searching each failing row once stays linear
@@ -256,14 +270,12 @@ def partition_of_family(objects, labels, family):
                     f"family separates {x!r} from {z!r} but links both to {y!r}",
                     witness=(x, y, z),
                 )
-    blocks = [tuple(names[j] for j in _bits(linked)) for linked in group]
-    if len(blocks) > len(labels.values):
+    if len(group) > len(labels.values):
         raise InsufficientLabels(
-            f"{len(blocks)} blocks need at least {len(blocks)} labels, "
+            f"{len(group)} blocks need at least {len(group)} labels, "
             f"have {len(labels.values)}"
         )
-    absorber = [objects.distinguished] + [x for i, x in enumerate(names) if i not in apart]
-    return PartitionPlus(objects, tuple(blocks) + (tuple(absorber),))
+    return PartitionPlus._canonical(objects, where)
 
 
 def ideal_contains(partition, f):
@@ -314,25 +326,24 @@ def ideal_members(partition, codes):
     position = partition.objects._position
     if codes.dtype.kind != "i" or codes.shape[1:] != (len(position) - 1,):
         raise ValidationError("expected signed integer label codes, one column per object")
-    # unmeasured entries must not lower a block's least measured code
-    lifted = np.where(codes < 0, np.iinfo(codes.dtype).max, codes)
     keep = np.ones(len(codes), dtype=bool)
     for i, block in enumerate(partition.blocks):
-        cols = [position[x] for x in block if position[x] >= 0]
-        top = codes[:, cols].max(axis=1, initial=-1)
-        # block 0 is the absorber, where a member measures nothing
-        keep &= (top < 0) | (i > 0 and top == lifted[:, cols].min(axis=1))
+        part = codes.T[[position[x] for x in block if position[x] >= 0]]  # a row per object
+        if i == 0:  # the absorber, where a member measures nothing
+            keep &= (part < 0).all(axis=0)
+        elif len(part) > 1:  # a singleton block takes any label
+            top = part.max(axis=0)
+            # unmeasured entries must not lower a block's least measured code
+            low = np.where(part < 0, np.iinfo(part.dtype).max, part).min(axis=0)
+            keep &= (top < 0) | (top == low)
     return keep
 
 
 def scale_to_partition(scale):
     """Partition induced by a total labeling: its fibers, plus {a} alone."""
-    fibers = {}
-    for x, y in scale.assignment:
-        fibers.setdefault(y, []).append(x)
-    blocks = [tuple(b) for b in fibers.values()]
-    blocks.append((scale.objects.distinguished,))
-    return PartitionPlus(scale.objects, tuple(blocks))
+    number = {}  # label -> block number, fibers numbered in object order after {a}'s 0
+    where = [0] + [number.setdefault(y, len(number) + 1) for _, y in scale.assignment]
+    return PartitionPlus._canonical(scale.objects, where)
 
 
 def is_observable(partition, labels):
@@ -363,8 +374,4 @@ def pushforward_partition(h, scale):
         raise ValidationError("h maps outside the label set")
     if len(set(h.values())) > 1:
         return scale_to_partition(scale)
-    objects = scale.objects
-    blocks = [(objects.distinguished,)]
-    if objects.elements:
-        blocks.append(tuple(objects.elements))
-    return PartitionPlus(objects, tuple(blocks))
+    return PartitionPlus._canonical(scale.objects, [0] + [1] * len(scale.objects.elements))

@@ -46,8 +46,9 @@ def tol_eig(scale):
     return EIG * (1.0 + float(scale))
 
 
-def tol_comm(norm_a, norm_b):
-    return COMM * (1.0 + float(norm_a) * float(norm_b))
+def tol_comm(norm_a, norm_b, scale=1.0):
+    """Commutator tolerance; for A / 2**i and B / 2**j, their norms and scale 2**-(i + j)."""
+    return COMM * (scale + float(norm_a) * float(norm_b))
 
 
 def tol_dedup(value_scale):
@@ -61,18 +62,23 @@ def within(residual, tol):
     return bool(abs(residual) < math.inf and residual <= tol < math.inf)
 
 
-def norm(x, axis=None):
-    """np.linalg.norm(x, axis=axis) taken on x / 2**k, 2**k the normal power of two
-    at max(|Re x|, |Im x|) (Blue 1978); the scaling is exact, so in range the bits agree."""
+def scale_exponent(x):
+    """k with x / 2**k safe to square: 0 in range, else max(|Re x|, |Im x|)'s exponent, clamped."""
     x = np.asarray(x)
     re, im = x.real, x.imag  # reduced in place: a large x gets no temporary copy
     peak = max(re.max(initial=0.0), -re.min(initial=0.0), im.max(initial=0.0), -im.min(initial=0.0))
     k = math.frexp(peak)[1]  # 0 for an inf or NaN peak, which a complex scale would warn on
-    if abs(k) < 480:  # |x|^2 stays a normal float: x needs no scaling
+    return 0 if abs(k) < 480 else min(max(k, -1022), 1022)
+
+
+def norm(x, axis=None):
+    """np.linalg.norm(x, axis=axis) taken on x / 2**k, k = scale_exponent(x) (Blue
+    1978); the scaling is exact, so in range the bits agree."""
+    k = scale_exponent(x)
+    if not k:
         return np.linalg.norm(x, axis=axis)
-    k = min(max(k, -1022), 1022)
     with np.errstate(over="ignore"):  # the product overflows only when the norm does
-        return np.linalg.norm(x * 2.0**-k, axis=axis) * 2.0**k
+        return np.linalg.norm(np.asarray(x) * 2.0**-k, axis=axis) * 2.0**k
 
 
 def hermitian(m, tol):

@@ -60,17 +60,14 @@ def _check_partition_ideal_roundtrip(seed):
         elements = tuple(f"x{i + 1}" for i in range(nx))
         objects = measurement.ObjectSet(elements, "a")
         labels = measurement.LabelSet(tuple(f"y{i + 1}" for i in range(max(nx, 1))))
-        labelings = [
+        labelings = np.array([
             measurement.PartialLabeling(objects, labels, entries)
             for entries in all_partial_functions(elements, labels.values)
-        ]
+        ], dtype=object)
         codes = measurement.label_codes(labelings)
         for blocks in set_partitions(objects.universe()):
-            partition = measurement.PartitionPlus(
-                objects, tuple(tuple(b) for b in blocks)
-            )
-            mask = measurement.ideal_members(partition, codes)
-            members = [labelings[i] for i in np.flatnonzero(mask)]
+            partition = measurement.PartitionPlus(objects, tuple(map(tuple, blocks)))
+            members = labelings[measurement.ideal_members(partition, codes)].tolist()
             back = measurement.partition_of_family(objects, labels, members)
             total += 1
             if back != partition:
@@ -79,15 +76,11 @@ def _check_partition_ideal_roundtrip(seed):
     return CheckResult("partition-ideal-roundtrip", failed == 0, detail)
 
 
-def _le_oracle(f, g, relabelings):
-    fd = f.as_dict()
-    gd = g.as_dict()
+def _le_oracle(fd, gd, relabelings):
     if any(x not in gd for x in fd):
         return False
-    for h in relabelings:
-        if all(h[gd[x]] == fd[x] for x in fd):
-            return True
-    return False
+    f_values, g_on_f = list(fd.values()), [gd[x] for x in fd]
+    return any(list(map(h.get, g_on_f)) == f_values for h in relabelings)
 
 
 def _check_relabel_order_oracle(seed):
@@ -105,12 +98,13 @@ def _check_relabel_order_oracle(seed):
         ]
         any_maps = list(all_functions(values, values))
         monotone_maps = list(nondecreasing_functions(values, values))
-        for f in labelings:
-            for g in labelings:
+        dicts = [f.as_dict() for f in labelings]
+        for f, fd in zip(labelings, dicts):
+            for g, gd in zip(labelings, dicts):
                 pairs += 1
-                if measurement.le(f, g) != _le_oracle(f, g, any_maps):
+                if measurement.le(f, g) != _le_oracle(fd, gd, any_maps):
                     failed += 1
-                if measurement.pref_le(f, g) != _le_oracle(f, g, monotone_maps):
+                if measurement.pref_le(f, g) != _le_oracle(fd, gd, monotone_maps):
                     failed += 1
     detail = f"{pairs} ordered pairs against relabeling enumeration, {failed} disagreements"
     return CheckResult("relabel-order-oracle", failed == 0, detail)
@@ -132,21 +126,22 @@ def _check_scale_pushforward_oracle(seed):
                 tuple(t.values()): measurement.PartialLabeling(objects, labels, t)
                 for t in all_functions(elements, values)
             }
+            # the generators for h are s composed with each map h(k(.)) over every
+            # relabeling k, so the h that give one set of those maps share them
+            shared = {}  # each such set, maps as tuples over values -> the h giving it
+            for h in relabelings:
+                maps = frozenset(tuple(h[k[y]] for y in values) for k in relabelings)
+                shared.setdefault(maps, []).append(h)
             for assignment in all_functions(elements, values):
                 scale = measurement.Scale(objects, labels, assignment)
-                composed = [[k[assignment[x]] for x in elements] for k in relabelings]
-                for h in relabelings:
-                    # members of the generated ideal only restrict or
-                    # relabel these generators, so they separate nothing
-                    # more and the coded partition is the same
-                    generators = [totals[tuple(map(h.get, ks))] for ks in composed]
-                    expected = measurement.partition_of_family(
-                        objects, labels, generators
-                    )
-                    got = measurement.pushforward_partition(h, scale)
-                    cases += 1
-                    if got != expected:
-                        failed += 1
+                s = [values.index(y) for y in assignment.values()]
+                for maps, hs in shared.items():
+                    # members of the generated ideal only restrict or relabel these
+                    # generators, so they separate nothing more: the same partition
+                    generators = [totals[tuple(map(m.__getitem__, s))] for m in maps]
+                    expected = measurement.partition_of_family(objects, labels, generators)
+                    cases += len(hs)
+                    failed += sum(measurement.pushforward_partition(h, scale) != expected for h in hs)
     detail = f"{cases} (h, s) cases against the generated-family partition, {failed} mismatched"
     return CheckResult("scale-pushforward-oracle", failed == 0, detail)
 
@@ -796,10 +791,25 @@ SUITES = {
 
 SUITE_ORDER = ("measurement", "finitary", "dynamics", "socks", "fhlogic", "serialization")
 
+# the longest checks by CPU time, longest first; `run_suite` starts them before
+# the rest so none is left to finish alone (longest-first greedy, Graham 1969)
+HEAVIEST_FIRST = ("modular-law", "functional-calculus", "partition-ideal-roundtrip",
+                  "oscillator-spectrum", "relabel-order-oracle")
+
+
+def _name(fn):
+    """The name a check reports."""
+    return fn.__name__.removeprefix("_check_").replace("_", "-")
+
 
 def _failed(fn, exc):
-    label = fn.__name__.removeprefix("_check_").replace("_", "-")  # the check's reported name
-    return CheckResult(label, False, f"raised {type(exc).__name__}: {exc}")
+    return CheckResult(_name(fn), False, f"raised {type(exc).__name__}: {exc}")
+
+
+def _dispatch_order(checks):
+    """Indices of `checks`: those in HEAVIEST_FIRST in its order, then the rest in theirs."""
+    rank = {name: r for r, name in enumerate(HEAVIEST_FIRST)}
+    return sorted(range(len(checks)), key=lambda i: rank.get(_name(checks[i]), len(rank)))
 
 
 def _run_check(fn, seed):
@@ -825,11 +835,11 @@ def _run_inherited(index):
 def run_suite(name, seed):
     """Run one named suite (or 'all') and return the CheckResults in suite order.
 
-    The checks run in workers forked from the caller, one per usable CPU
-    and at most one per check, or here when that is one worker or fork
-    is missing.  Workers inherit the checks and the seed; only results
-    are pickled.  A check that raises fails; if a worker dies, every
-    check left without a result fails naming BrokenProcessPool.
+    The checks run in workers forked from the caller, one per usable CPU and
+    at most one per check, heaviest first, or here when that is one worker or
+    fork is missing.  Workers inherit the checks and the seed; only results
+    are pickled.  A check that raises fails; if a worker dies, each check from
+    the first in suite order left without a result fails naming BrokenProcessPool.
     """
     if name == "all":
         checks = [fn for suite in SUITE_ORDER for fn in SUITES[suite]]
@@ -852,9 +862,10 @@ def run_suite(name, seed):
     results = []
     with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
                              initializer=_inherit, initargs=(checks, seed)) as pool:
-        try:
-            for result in pool.map(_run_inherited, range(len(checks))):
-                results.append(result)
+        try:  # a worker can die while the checks are still being submitted
+            futures = {i: pool.submit(_run_inherited, i) for i in _dispatch_order(checks)}
+            for i in range(len(checks)):
+                results.append(futures[i].result())
         except BrokenProcessPool as exc:
             results += [_failed(fn, exc) for fn in checks[len(results):]]
     return results

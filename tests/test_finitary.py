@@ -165,6 +165,18 @@ def test_commeasurable_cases():
         commeasurable([])
 
 
+def test_commeasurable_decides_huge_commuting_operators_without_overflow():
+    a = diagonalize(np.diag([1e200, 1.0]))
+    b = diagonalize(np.diag([1e200, 2.0]))
+    flip = diagonalize(np.array([[0.0, 1e200], [1e200, 0.0]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert commeasurable([a, b])
+        assert not commeasurable([a, flip])
+        joint = joint_eigensystem([a, b])
+    assert sorted(values for _, values in joint) == [(1.0, 2.0), (1e200, 1e200)]
+
+
 def test_joint_eigensystem_tuples():
     a = diag_system(1.0, 1.0, 2.0)
     b = diag_system(3.0, 4.0, 4.0)
@@ -217,6 +229,15 @@ def test_polynomial_and_minimal_polynomial():
     assert abs(mp(1.0)) < 1e-12 and abs(mp(2.0)) < 1e-12
     annihilated = functional_calculus(mp, [system])
     assert np.allclose(annihilated.matrix(), 0.0)
+
+
+def test_minimal_polynomial_rejects_overflowing_coefficients():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="overflow"):
+            minimal_polynomial(diag_system(1e200, -1e200, 3.0))
+        large = minimal_polynomial(diag_system(1e100, 3.0))
+    assert large.degree == 2 and np.all(np.isfinite(large.coeffs))
 
 
 def test_deduplicate_values_clusters_at_scale():

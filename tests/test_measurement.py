@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finobs.enumeration import all_partial_functions, set_partitions
+from finobs.enumeration import all_functions, all_partial_functions, set_partitions
 from finobs.errors import (
     InsufficientLabels,
     NonIdealFamily,
@@ -299,9 +299,19 @@ def _cubic_partition_of_family(objects, labels, family):
 
 def _outcome(build, *args):
     try:
-        return build(*args)
+        return _fields(build(*args))
     except (NonIdealFamily, InsufficientLabels) as exc:
         return type(exc), str(exc), getattr(exc, "witness", None)
+
+
+def _fields(p):
+    """Every field of a partition, `_where` too, which dataclass equality skips."""
+    return p.objects, p.blocks, p._where
+
+
+def assert_rebuilds(p):
+    """The public constructor, which checks and sorts the blocks, rebuilds `p`."""
+    assert _fields(PartitionPlus(p.objects, p.blocks)) == _fields(p)
 
 
 @st.composite
@@ -320,7 +330,10 @@ def families(draw):
 @settings(max_examples=400, deadline=None)
 @given(families())
 def test_family_partition_matches_the_cubic_reference(case):
-    assert _outcome(partition_of_family, *case) == _outcome(_cubic_partition_of_family, *case)
+    got = _outcome(partition_of_family, *case)
+    assert got == _outcome(_cubic_partition_of_family, *case)
+    if isinstance(got[0], ObjectSet):
+        assert_rebuilds(partition_of_family(*case))
 
 
 def _objects(n):
@@ -446,6 +459,8 @@ def test_scale_partition_and_observability():
     scale = Scale(X3, Y3, {"x": 0, "y": 1, "z": 0})
     p = scale_to_partition(scale)
     assert p.blocks == (("a",), ("x", "z"), ("y",))
+    assert p.block_index() == {"a": 0, "x": 1, "y": 2, "z": 1}
+    assert_rebuilds(p)
     assert not is_observable(p, Y3)
     sharp = Scale(X3, Y3, {"x": 0, "y": 1, "z": 2})
     assert is_observable(scale_to_partition(sharp), Y3)
@@ -465,6 +480,24 @@ def test_pushforward_identity_and_constant():
     constant = {0: 1, 1: 1}
     collapsed = pushforward_partition(constant, scale)
     assert collapsed.blocks == (("a",), ("x", "y", "z"))
+    assert collapsed.block_index() == {"a": 0, "x": 1, "y": 1, "z": 1}
+    assert_rebuilds(collapsed)
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_every_scale_and_pushforward_partition_rebuilds(n):
+    objects = _objects(n)
+    labels = LabelSet((0, 1, 2))
+    maps = list(all_functions(labels.values, labels.values))
+    for assignment in all_functions(objects.elements, labels.values):
+        scale = Scale(objects, labels, assignment)
+        p = scale_to_partition(scale)
+        assert_rebuilds(p)
+        assert p.block_index() == {
+            x: i for i, block in enumerate(p.blocks) for x in block
+        }
+        for h in maps:
+            assert_rebuilds(pushforward_partition(h, scale))
 
 
 def test_pushforward_validates_the_relabeling():

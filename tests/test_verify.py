@@ -1,5 +1,6 @@
-"""How `verify.run_suite` reports a check that raises or a worker that
-dies, and the matrix exponential the dynamics checks compare with."""
+"""How `verify.run_suite` orders the checks it starts, how it reports a check
+that raises or a worker that dies, and the matrix exponential the dynamics
+checks compare with."""
 
 import functools
 import multiprocessing
@@ -42,30 +43,89 @@ def test_a_crashed_check_reports_its_own_name(monkeypatch):
     assert {r.detail for r in results} == {"raised RuntimeError: raised by the test"}
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="the checks run in forked workers")
-def test_a_dead_worker_fails_the_checks_left_without_a_result(monkeypatch, capfd):
+def _run_killing(monkeypatch, suite, name):
+    """Run `suite` on two forked workers with check `name` replaced by one that
+    kills its worker; the results, read within a time bound."""
     caller = os.getpid()
-    first, second, third = verify.SUITES["socks"]
+    checks = verify.SUITES[suite]
+    index = [verify._name(fn) for fn in checks].index(name)
 
-    @functools.wraps(second)
+    @functools.wraps(checks[index])
     def killing(seed):
         if os.getpid() != caller:
             os.kill(os.getpid(), signal.SIGKILL)
         raise RuntimeError("ran in the calling process")
 
-    monkeypatch.setitem(verify.SUITES, "socks", (first, killing, third))
+    monkeypatch.setitem(verify.SUITES, suite, checks[:index] + (killing,) + checks[index + 1:])
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     got = []
-    runner = threading.Thread(target=lambda: got.extend(verify.run_suite("socks", 0)), daemon=True)
+    runner = threading.Thread(target=lambda: got.extend(verify.run_suite(suite, 0)), daemon=True)
     runner.start()
     runner.join(60)
     assert not runner.is_alive(), "run_suite hangs after a worker died"
-    assert [r.name for r in got] == REPORT_NAMES[10:13]
+    return got
+
+
+def _assert_left_checks_fail(got, names, capfd):
+    assert [r.name for r in got] == names
     for r in got:
         assert r.passed or r.detail.startswith("raised BrokenProcessPool: "), r
-    assert not any(r.passed for r in got[1:])
     assert multiprocessing.active_children() == []
     assert capfd.readouterr().err == ""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the checks run in forked workers")
+def test_a_dead_worker_fails_the_checks_left_without_a_result(monkeypatch, capfd):
+    got = _run_killing(monkeypatch, "socks", "tensor-antisymmetry")
+    _assert_left_checks_fail(got, REPORT_NAMES[10:13], capfd)
+    assert not any(r.passed for r in got[1:])
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the checks run in forked workers")
+def test_a_worker_dying_in_the_check_started_first_fails_it_in_its_suite_place(
+    monkeypatch, capfd
+):
+    # modular-law is fourth of fhlogic in suite order but started first
+    checks = verify.SUITES["fhlogic"]
+    assert [verify._name(checks[i]) for i in verify._dispatch_order(checks)][0] == "modular-law"
+    got = _run_killing(monkeypatch, "fhlogic", "modular-law")
+    _assert_left_checks_fail(got, REPORT_NAMES[13:19], capfd)
+    assert not got[3].passed
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the checks run in forked workers")
+def test_a_pool_broken_while_the_checks_are_submitted_fails_them_all(monkeypatch):
+    # the check started first can kill its worker before the last one is submitted
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    submit = ProcessPoolExecutor.submit
+    submitted = []
+
+    def breaking(pool, *args):
+        if submitted:
+            raise BrokenProcessPool("broken while submitting")
+        submitted.append(args)
+        return submit(pool, *args)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", breaking)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    got = verify.run_suite("socks", 0)
+    assert [r.name for r in got] == REPORT_NAMES[10:13]
+    assert {r.detail for r in got} == {"raised BrokenProcessPool: broken while submitting"}
+
+
+def test_heaviest_first_names_checks_of_the_suites():
+    names = [verify._name(fn) for checks in verify.SUITES.values() for fn in checks]
+    assert set(verify.HEAVIEST_FIRST) <= set(names)
+    assert len(set(verify.HEAVIEST_FIRST)) == len(verify.HEAVIEST_FIRST)
+
+
+def test_checks_start_heaviest_first_and_the_rest_in_suite_order():
+    checks = [fn for suite in verify.SUITE_ORDER for fn in verify.SUITES[suite]]
+    started = [REPORT_NAMES[i] for i in verify._dispatch_order(checks)]
+    heavy = list(verify.HEAVIEST_FIRST)
+    assert started == heavy + [name for name in REPORT_NAMES if name not in heavy]
 
 
 @pytest.mark.parametrize("norm", [0.0, 1e-3, 0.5, 1.0, 3.0, 10.0, 30.0, 100.0])

@@ -1,6 +1,7 @@
-"""Parent-versus-change timings behind BENCH_serial.json.
+"""Parent-versus-change timings behind BENCH_serial.json and BENCH_verify.json.
 
     python3 tools/bench_serial.py serial --parent P --change C [-o BENCH_serial.json]
+    python3 tools/bench_serial.py checks --parent P --change C [-o BENCH_verify.json]
     python3 tools/bench_serial.py pairs --parent P --change C
         --workload W --seeds S1,S2,... [-o BENCH_serial.json]
 
@@ -8,7 +9,10 @@ P and C are source checkouts.  `serial` times `serial.dumps_value` and
 `serial.loads_value` per kind over the calls of one api_batch pass (seed
 SEED): each of ROUNDS rounds runs one child per checkout (alternating
 which goes first), and each child records the calls of a pass, makes one
-warm-up run and then REPEATS timed runs.  `pairs` runs `bench/run.py --workload W --seconds 25
+warm-up run and then REPEATS timed runs.  `checks` takes the CPU time of
+each `verify` check at seed CHECK_SEED in process, in children run the
+same way, each making one warm-up run and CHECK_REPEATS timed runs of
+every check.  `pairs` runs `bench/run.py --workload W --seconds 25
 --trace 0` in each checkout per seed, alternating which goes first.
 Each merges its section into the output file.
 """
@@ -25,6 +29,7 @@ from pathlib import Path
 
 THREADS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 SEED, ROUNDS, REPEATS = 1, 4, 10
+CHECK_SEED, CHECK_REPEATS = 42, 5
 
 
 def child():
@@ -60,6 +65,22 @@ def child():
     return {"runs": runs[1:], "calls": counts, "bytes": size, "numpy": numpy.__version__}
 
 
+def checks_child():
+    """In a checkout's environment: CPU seconds of each verify check, per timed run."""
+    from finobs import verify
+
+    out = {}
+    for suite in verify.SUITE_ORDER:
+        for fn in verify.SUITES[suite]:
+            runs = []
+            for _ in range(CHECK_REPEATS + 1):  # the first run is the warm-up
+                t0 = time.process_time()
+                name = fn(CHECK_SEED).name
+                runs.append(time.process_time() - t0)
+            out[name] = runs[1:]
+    return out
+
+
 def tree_env(tree):
     """Environment that runs checkout `tree` from its own `src` and `bench`
     on one BLAS thread, with the tools importable by a child."""
@@ -68,8 +89,8 @@ def tree_env(tree):
     return dict(os.environ, **THREADS, PYTHONPATH=os.pathsep.join(map(str, path)))
 
 
-def run_child(tree):
-    code = "import json, bench_serial; print(json.dumps(bench_serial.child()))"
+def run_child(tree, func="child"):
+    code = f"import json, bench_serial; print(json.dumps(bench_serial.{func}()))"
     out = subprocess.run([sys.executable, "-c", code], env=tree_env(tree), cwd=tree,
                          check=True, capture_output=True, text=True).stdout
     return json.loads(out.splitlines()[-1])
@@ -80,13 +101,37 @@ def summary(values):
             "min_ms": round(min(values) * 1e3, 3), "samples": len(values)}
 
 
-def serial_section(args):
+def alternating_children(args, func="child"):
+    """ROUNDS children per checkout, alternating which goes first."""
     sides = {"parent": args.parent, "change": args.change}
     got = {side: [] for side in sides}
     for r in range(ROUNDS):
         order = list(sides) if r % 2 == 0 else list(sides)[::-1]
         for side in order:
-            got[side].append(run_child(sides[side]))
+            got[side].append(run_child(sides[side], func))
+    return got
+
+
+def checks_section(args):
+    """Per check and side: median, minimum and quartile spread of the CPU time
+    over every timed run of every child, and the change's median over the parent's."""
+    got = alternating_children(args, "checks_child")
+    runs = {side: {name: [t for child in children for t in child[name]] for name in children[0]}
+            for side, children in got.items()}
+    per_check = {}
+    for name in runs["parent"]:
+        row = {}
+        for side, times in runs.items():
+            q1, _, q3 = statistics.quantiles(times[name], n=4)
+            row[side] = dict(summary(times[name]), spread_ms=round((q3 - q1) * 1e3, 3))
+        row["change_over_parent"] = round(row["change"]["median_ms"] / row["parent"]["median_ms"], 3)
+        per_check[name] = row
+    return {"seed": CHECK_SEED, "clock": "process_time", "children_per_side": ROUNDS,
+            "repeats_per_child": CHECK_REPEATS, "warmup_runs_per_child": 1, "checks": per_check}
+
+
+def serial_section(args):
+    got = alternating_children(args)
     out = {}
     for side, results in got.items():
         runs = [run for result in results for run in result["runs"]]
@@ -138,23 +183,26 @@ def pairs_section(args):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("mode", choices=("serial", "pairs"))
+    parser.add_argument("mode", choices=("serial", "checks", "pairs"))
     parser.add_argument("--parent", required=True)
     parser.add_argument("--change", required=True)
     parser.add_argument("--workload", default="api_batch")
     parser.add_argument("--seeds", default="")
-    parser.add_argument("-o", "--output", default="BENCH_serial.json")
+    parser.add_argument("-o", "--output", help="BENCH_verify.json for checks, "
+                        "else BENCH_serial.json")
     args = parser.parse_args(argv)
 
-    path = Path(args.output)
+    path = Path(args.output or f"BENCH_{'verify' if args.mode == 'checks' else 'serial'}.json")
     doc = json.loads(path.read_text()) if path.exists() else {}
-    section = "serial" if args.mode == "serial" else f"pairs/{args.workload}"
+    section = f"pairs/{args.workload}" if args.mode == "pairs" else args.mode
     doc.setdefault("commands", {})[section] = "python3 tools/bench_serial.py " + " ".join(
         argv if argv is not None else sys.argv[1:])
     doc["host"] = {"python": platform.python_version(), "machine": platform.machine(),
                    "cpus": os.cpu_count(), "threads": THREADS}
     if args.mode == "serial":
         doc["serial"] = serial_section(args)
+    elif args.mode == "checks":
+        doc["checks"] = checks_section(args)
     else:
         doc.setdefault("pairs", {})[args.workload] = pairs_section(args)
     path.write_text(json.dumps(doc, indent=1) + "\n")
