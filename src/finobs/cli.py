@@ -276,7 +276,7 @@ def _build_parser():
     p.add_argument(
         "--suite",
         default="all",
-        # verify.SUITE_ORDER, written out so that parsing does not import verify
+        # the keys of verify.SUITES, written out so that parsing does not import verify
         help="suite name: measurement, finitary, dynamics, socks, fhlogic, serialization, or all",
     )
     p.add_argument("--seed", type=int, default=42, help="seed for the seeded checks")

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import finitary, numeric
 from .errors import ToleranceError, ValidationError
-from .finitary import EigenSystem, check_hermitian
+from .finitary import check_hermitian
 
 
 def check_state(psi):
@@ -59,7 +59,7 @@ def evolve(system, psi0, t):
 
 def propagator(system, t):
     """Unitary exp(-i A t) of a full operator as a dense matrix."""
-    if not system.is_full():
+    if not finitary.is_complete(system):
         raise ValidationError("propagator needs a full operator")
     return (system.vectors.T * _phases(system, t)) @ system.vectors.conj()
 
@@ -73,13 +73,19 @@ def _spectral_projectors(system):
     ]
 
 
-def expectation(func, system, rho):
-    """Trace of f(T) rho via the spectral decomposition of T."""
-    if not system.is_full():
-        raise ValidationError("expectation needs a full operator")
+def _density_on(system, rho, use):
+    """rho checked as a density of the full operator `system`; `use` names the caller."""
+    if not finitary.is_complete(system):
+        raise ValidationError(f"{use} needs a full operator")
     rho = check_density(rho)
     if rho.shape[0] != system.ambient_dim:
         raise ValidationError("density and operator dimensions differ")
+    return rho
+
+
+def expectation(func, system, rho):
+    """Trace of f(T) rho via the spectral decomposition of T."""
+    rho = _density_on(system, rho, "expectation")
     total = 0.0
     for value, proj in _spectral_projectors(system):
         total += float(func(value)) * float(np.trace(proj @ rho).real)
@@ -94,11 +100,7 @@ def compress_state(system, rho):
     Averages rho over each eigenspace: the weight tr(P rho) is spread
     uniformly across the eigenspace dimension.
     """
-    if not system.is_full():
-        raise ValidationError("compression needs a full operator")
-    rho = check_density(rho)
-    if rho.shape[0] != system.ambient_dim:
-        raise ValidationError("density and operator dimensions differ")
+    rho = _density_on(system, rho, "compression")
     out = np.zeros_like(rho)
     for _, proj in _spectral_projectors(system):
         weight = float(np.trace(proj @ rho).real)
@@ -109,6 +111,8 @@ def compress_state(system, rho):
 
 def _exp_minus_i(h):
     w, v = np.linalg.eigh(h)
+    if not np.isfinite(w).all():
+        raise ValidationError("operator eigenvalues overflow")
     return (v * np.exp(-1j * w)) @ v.conj().T
 
 
@@ -147,16 +151,9 @@ def concatenate(a, b):
 
 
 def variance(operator, w):
-    """Statistical variance of an observable in the unit state w.
-
-    Accepts either an EigenSystem (w must be in its domain) or a dense
-    Hermitian matrix.
-    """
+    """Statistical variance of the EigenSystem `operator` in a unit state w of its domain."""
     w = check_state(w)
-    if isinstance(operator, EigenSystem):
-        sw = finitary.apply(operator, w)
-    else:
-        sw = check_hermitian(operator) @ w
+    sw = finitary.apply(operator, w)
     with np.errstate(over="ignore", invalid="ignore"):
         mean = float(np.vdot(w, sw).real)
         out = float(np.vdot(sw, sw).real - mean * mean)

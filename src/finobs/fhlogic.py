@@ -75,7 +75,7 @@ class FHOperator:
         if self.symmetric:
             if not numeric.hermitian(block, numeric.HERMITIAN):
                 raise ValidationError("symmetric-flagged block is not Hermitian")
-            if not numeric.within(abs(tail.imag), numeric.REAL * (1.0 + abs(tail))):
+            if not numeric.within(abs(tail.imag), numeric.REAL * (1.0 + np.abs(tail))):
                 raise ValidationError("symmetric-flagged tail must be real")
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "block", block)
@@ -102,7 +102,8 @@ def fh_apply(op, v):
 def canonicalize(op, tol=0.0):
     """Drop every support atom whose row and column just repeat the tail."""
     # row and column i hold atom i's off-block entries and its diagonal minus the tail
-    resid = op.block - op.tail * np.eye(len(op.support))
+    with np.errstate(over="ignore"):  # an entry that overflows is inf: within() keeps its atom
+        resid = op.block - op.tail * np.eye(len(op.support))
     keep = [
         i
         for i in range(len(op.support))
@@ -120,9 +121,10 @@ def zero_sum_compatible(op):
     scalar; probing with two-atom differences across the support
     boundary recovers the same criterion.
     """
-    sums = np.sum(op.block, axis=0)
-    scale = max(1.0, abs(op.tail), float(np.max(np.abs(op.block), initial=0.0)))
-    return numeric.within(sums - op.tail, numeric.ZERO_SUM * scale)
+    with np.errstate(over="ignore", invalid="ignore"):  # within() fails an inf or NaN sum
+        mismatch = np.sum(op.block, axis=0) - op.tail
+    scale = max(1.0, np.abs(op.tail), np.max(np.abs(op.block), initial=0.0))
+    return numeric.within(mismatch, numeric.ZERO_SUM * scale)
 
 
 def fh_to_matrix(op, atoms):
@@ -135,12 +137,9 @@ def fh_to_matrix(op, atoms):
     if missing:
         raise ValidationError(f"window is missing support atoms {missing}")
     out = np.zeros((len(atoms), len(atoms)), dtype=complex)
-    for a in atoms:
-        if a not in op.support:
-            out[index[a], index[a]] = op.tail
-    for i, a in enumerate(op.support):
-        for j, b in enumerate(op.support):
-            out[index[a], index[b]] = op.block[i, j]
+    np.fill_diagonal(out, op.tail)
+    inside = [index[a] for a in op.support]
+    out[np.ix_(inside, inside)] = op.block
     return out
 
 

@@ -86,9 +86,6 @@ class EigenSystem:
     def count(self):
         return len(self.values)
 
-    def is_full(self):
-        return self.count == self.ambient_dim
-
     def norm(self):
         """Operator norm: largest eigenvalue magnitude."""
         return float(np.max(np.abs(self.values), initial=0.0))
@@ -252,8 +249,6 @@ def commeasurable(systems):
         raise ValidationError("operators have different ambient dimensions")
     if not all(_domains_match(a, b) for a, b in combinations(systems, 2)):
         return False
-    if not systems[0].count:
-        return True
     basis = systems[0].vectors
     mats = [s.matrix() for s in systems]
     # over 2**k, k > 0 where products could overflow: exact, so in range the bits agree
@@ -276,8 +271,6 @@ def joint_eigensystem(systems):
     systems = list(systems)
     if not commeasurable(systems):
         raise NotCommeasurable("operators are not commeasurable")
-    if not systems[0].count:
-        return []
     blocks = [systems[0].vectors]
     mats = [s.matrix() for s in systems]
     for system, m in zip(systems, mats):
@@ -306,8 +299,6 @@ def functional_calculus(func, systems):
     """
     joint = joint_eigensystem(systems)
     d = systems[0].ambient_dim
-    if not joint:
-        return EigenSystem(d, np.zeros(0), np.zeros((0, d)))
     values = []
     for _, tup in joint:
         try:
@@ -317,7 +308,7 @@ def functional_calculus(func, systems):
         if not np.isfinite(y):
             raise ValidationError(f"function value {y} at {tup} is not finite")
         values.append(y)
-    vectors = np.array([v for v, _ in joint])
+    vectors = np.array([v for v, _ in joint]).reshape(len(joint), d)
     return EigenSystem(d, np.array(values), vectors)
 
 
@@ -357,7 +348,7 @@ def minimal_polynomial(system):
 
 def is_complete(system):
     """True when the eigenvectors span the whole ambient space."""
-    return system.is_full()
+    return system.count == system.ambient_dim
 
 
 def joint_generator(systems):
@@ -370,9 +361,7 @@ def joint_generator(systems):
     joint = joint_eigensystem(systems)
     d = systems[0].ambient_dim
     beta = np.arange(len(joint), dtype=float)
-    vectors = (
-        np.array([v for v, _ in joint]) if joint else np.zeros((0, d))
-    )
+    vectors = np.array([v for v, _ in joint]).reshape(len(joint), d)
     generator = EigenSystem(d, beta, vectors)
     tables = []
     for i in range(len(systems)):

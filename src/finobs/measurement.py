@@ -9,7 +9,6 @@ All ideal-level operations below work on that partition code.
 """
 
 from dataclasses import dataclass, field
-from itertools import permutations
 
 import numpy as np
 
@@ -201,21 +200,18 @@ def le(f, g):
 def pref_le(f, g):
     """Preference order: as `le` but the relabeling must be nondecreasing.
 
-    Needs an ordered label set.  On finite data this reduces to:
-    g(x) <= g(y) implies f(x) <= f(y) for x, y in dom f, since any
-    monotone partial map on the g-values extends to a monotone total one.
+    Needs an ordered label set.  With f <= g, that relabeling is g(x) -> f(x)
+    on dom f, nondecreasing when f's labels ranked by g's come out sorted;
+    any monotone partial map on the g-values extends to a total one.
     """
     _same_context(f, g)
     if not f.labels.ordered:
         raise UnorderedLabels("pref_le needs an ordered label set")
-    fd = f.as_dict()
-    gd = g.as_dict()
-    if any(x not in gd for x in fd):
+    if not le(f, g):
         return False
-    for x, y in permutations(fd, 2):
-        if gd[x] <= gd[y] and not fd[x] <= fd[y]:
-            return False
-    return True
+    gd = g.as_dict()
+    ranked = [y for _, y in sorted((gd[x], y) for x, y in f.entries)]
+    return ranked == sorted(ranked)
 
 
 def _bits(mask):

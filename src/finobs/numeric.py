@@ -101,9 +101,11 @@ def live(values, tol):
 
 def clusters(values, td):
     """Yield (start, stop) runs of sorted `values` whose gaps are at most `td` in magnitude."""
+    with np.errstate(over="ignore"):  # a gap that overflows is inf, so it splits
+        near = (np.abs(values[1:] - values[:-1]) <= td).tolist()
     start = 0
     for i in range(1, len(values) + 1):
-        if i == len(values) or not abs(values[i] - values[i - 1]) <= td:
+        if i == len(values) or not near[i - 1]:
             yield start, i
             start = i
 

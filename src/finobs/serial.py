@@ -7,7 +7,7 @@ of `dumps_canonical`, formatted from one `tolist()` pass into the bytes
 of their pair lists.  Loaders validate shape before construction and
 report failures with a JSON-pointer path (RFC 6901); a vector or matrix
 of pairs is checked and converted in one pass, and only its first bad
-entry gets a pointer.
+entry gets a pointer; a constructor's own check names `/` or its node.
 
 Every input is a kind of `_LOADERS`, read by `loads_value(kind, text)`
 or `load_value(kind, path)`, whose invalid-JSON error names the file.
@@ -120,9 +120,11 @@ def _as_strings(node, ptr, what):
 
 
 def _built(ptr, ctor, *args):
-    """ctor(*args), its ValidationError re-raised as a SchemaError at `ptr`."""
+    """ctor(*args), a ValidationError that names no pointer re-raised as a SchemaError at `ptr`."""
     try:
         return ctor(*args)
+    except SchemaError:
+        raise
     except ValidationError as exc:
         raise SchemaError(ptr, str(exc)) from None
 
@@ -342,7 +344,7 @@ def load_fhoperator(node, ptr=""):
     symmetric = node.get("symmetric", False)
     if not isinstance(symmetric, bool):
         raise SchemaError(f"{ptr}/symmetric", "expected a boolean")
-    return _built(ptr, FHOperator, support, block, tail, symmetric)
+    return FHOperator(support, block, tail, symmetric)
 
 
 def save_fhoperator(op):
@@ -424,8 +426,8 @@ def load_labeling_family(node, ptr=""):
         )
     distinguished = _need(node["distinguished"], str, f"{ptr}/distinguished", "a string")
     labels = _as_strings(node["labels"], f"{ptr}/labels", "a list of labels")
-    objects = _built(ptr, ObjectSet, elements, distinguished)
-    label_set = _built(ptr, LabelSet, labels)
+    objects = ObjectSet(elements, distinguished)
+    label_set = LabelSet(labels)
     labelings_node = _need(node["labelings"], list, f"{ptr}/labelings", "a list")
     tables = []
     for i, entry in enumerate(labelings_node):
@@ -485,7 +487,7 @@ def loads_value(kind, text, *, _path=None):
     except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit
         where = "" if _path is None else f" in {_path}"
         raise SchemaError("", f"invalid JSON{where}: {exc}") from None
-    return _LOADERS[kind](node)
+    return _built("", _LOADERS[kind], node)
 
 
 def read_text(path):

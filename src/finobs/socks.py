@@ -76,13 +76,14 @@ class ChoiceFunction:
         return cls(length, bits)
 
 
-def _parities(size):
-    v = np.arange(size)
-    out = np.zeros(size, dtype=np.int64)
+def alternation_signs(n):
+    """Signs of the 2^N choice functions in index order: -1 at an odd count of b socks."""
+    v = np.arange(1 << n)
+    out = np.zeros(1 << n, dtype=np.int64)
     while v.any():
         out += v & 1
         v = v >> 1
-    return out & 1
+    return 1.0 - 2.0 * (out & 1)
 
 
 @dataclass(eq=False)
@@ -105,9 +106,13 @@ class SignedTensor:
             raise ValidationError(
                 f"table needs {1 << self.length} entries, got {len(table)}"
             )
-        signs = 1.0 - 2.0 * _parities(len(table))
+        if not np.isfinite(table).all():
+            raise ValidationError("table entries must be finite")
+        signs = alternation_signs(self.length)
         scale = max(np.max(np.abs(table), initial=0.0), 1.0)
-        if not numeric.within(table - signs * table[0], numeric.ALTERNATION * scale):
+        with np.errstate(over="ignore"):  # a mismatch that overflows is inf: within() fails it
+            mismatch = table - signs * table[0]
+        if not numeric.within(mismatch, numeric.ALTERNATION * scale):
             raise ValidationError("table entries violate the sign alternation law")
         object.__setattr__(self, "table", table)
 
@@ -128,16 +133,20 @@ def pair_tensor(pair_vectors):
     n = len(vectors)
     if n > MAX_PAIRS_TENSOR:
         raise ValidationError(f"at most {MAX_PAIRS_TENSOR} pairs supported")
-    amplitude = np.prod([p.a_value for p in vectors]) if n else 1.0
-    signs = 1.0 - 2.0 * _parities(1 << n)
-    return SignedTensor(n, amplitude * signs)
+    with np.errstate(over="ignore", invalid="ignore"):  # SignedTensor rejects an inf or NaN entry
+        table = (np.prod([p.a_value for p in vectors]) if n else 1.0) * alternation_signs(n)
+    return SignedTensor(n, table)
 
 
 def tensor_inner(x, y):
     """Inner product as the full sum over choice functions."""
     if x.length != y.length:
         raise ValidationError("tensors over different pair counts")
-    return complex(np.sum(x.table * np.conj(y.table)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = complex(np.sum(x.table * np.conj(y.table)))
+    if not cmath.isfinite(value):
+        raise ValidationError("tensor inner product overflows")
+    return value
 
 
 @dataclass(eq=False)

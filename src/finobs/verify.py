@@ -424,7 +424,7 @@ def _check_tensor_antisymmetry(seed):
         amplitude = complex(rng.standard_normal(), rng.standard_normal())
         tensors = [
             socks.generator_tensor(n),
-            socks.SignedTensor(n, amplitude * (1.0 - 2.0 * socks._parities(1 << n))),
+            socks.SignedTensor(n, amplitude * socks.alternation_signs(n)),
         ]
         for tensor in tensors:
             for i in range(1 << n):
@@ -671,8 +671,7 @@ def _check_density_refutation(seed):
         size = int(rng.integers(0, 5))
         chosen = sorted(rng.choice(m, size=size, replace=False))
         support = tuple(atoms[i] for i in chosen)
-        g = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
-        block = (g + g.conj().T) / 2.0
+        block = _hermitian(rng, size)
         tail = 0.0 if case % 2 == 0 else float(rng.uniform(0.1, 1.0))
         density = fhlogic.canonicalize(
             fhlogic.FHOperator(support, block, tail, symmetric=True)
@@ -789,8 +788,6 @@ SUITES = {
     ),
 }
 
-SUITE_ORDER = ("measurement", "finitary", "dynamics", "socks", "fhlogic", "serialization")
-
 # the longest checks by CPU time, longest first; `run_suite` starts them before
 # the rest so none is left to finish alone (longest-first greedy, Graham 1969)
 HEAVIEST_FIRST = ("modular-law", "functional-calculus", "partition-ideal-roundtrip",
@@ -842,14 +839,14 @@ def run_suite(name, seed):
     the first in suite order left without a result fails naming BrokenProcessPool.
     """
     if name == "all":
-        checks = [fn for suite in SUITE_ORDER for fn in SUITES[suite]]
+        checks = [fn for suite in SUITES.values() for fn in suite]
     elif name in SUITES:
         checks = list(SUITES[name])
     else:
         from .errors import ValidationError
 
         raise ValidationError(
-            f"unknown suite {name!r}; choose from {', '.join(SUITE_ORDER)} or all"
+            f"unknown suite {name!r}; choose from {', '.join(SUITES)} or all"
         )
     forkable = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
     workers = min(len(checks), len(os.sched_getaffinity(0))) if forkable else 1

@@ -336,7 +336,7 @@ def test_verify_suite_help_names_every_suite():
         cli.main(["verify", "--help"])
     assert exit_info.value.code == 0
     names = re.search(r"suite name: (.*?), or all", " ".join(out.getvalue().split())).group(1)
-    assert tuple(names.split(", ")) == verify.SUITE_ORDER
+    assert names.split(", ") == list(verify.SUITES)
 
 
 def test_usage_errors_exit_1():
@@ -501,12 +501,12 @@ def test_overflowing_inputs_exit_1_without_numpy_warnings(workdir):
         done = run_cli("evolve", "--hamiltonian", ham, "--state", state, "--time=1e308")
         assert done == (1, "", "error: evolution phase overflows at time 1e+308\n")
         done = run_cli("spec", "--operator", huge)
-        assert done == (1, "", "error: eigenvectors are not orthonormal\n")
+        assert done == (1, "", "error: /: eigenvectors are not orthonormal\n")
         skew = write("skew.json", "[[[1e308, 0], [1e308, 0]], [[-1e308, 0], [1, 0]]]")
         for argv in (("spec", "--operator", skew),
                      ("evolve", "--hamiltonian", skew, "--state", state, "--time=1")):
             done = run_cli(*argv)
-            assert done == (1, "", "error: matrix is not Hermitian within tolerance\n")
+            assert done == (1, "", "error: /: matrix is not Hermitian within tolerance\n")
         done = run_cli("uncertainty", "--dim", "5", "--alphas", "1e200,-1e200")
         assert done == (1, "", "error: variance of the state overflows\n")
         done = run_cli("uncertainty", "--dim", "5", "--alphas", "1e100,-1e100")
@@ -743,3 +743,71 @@ def test_extreme_numeric_leaves_exit_cleanly_without_warnings(kind, base_dir):
             assert not caught, f"{case}: {[str(w.message) for w in caught]}"
             if done.returncode == 2:
                 assert _TOLERANCE_MESSAGE.search(done.stderr), f"{case}: {done.stderr}"
+
+
+# Inputs with two or more huge entries, or a Hermitian matrix of them, which
+# the single-leaf sweep above cannot reach: argv with "@name" for each file,
+# the files, and the exit code.
+_HUGE_PAIR = [[1e308, 0], [1e308, 0]]
+_HUGE_TAIL = [1.3e308, 1.3e308]  # |tail| overflows though both parts are finite
+_MULTI_LEAF_EXTREMES = {
+    "concat-eigenvalue-overflow": (
+        ("concat", "--a", "@f", "--b", "@f"), {"f": [_HUGE_PAIR, _HUGE_PAIR]}, 1),
+    "fh-zero-sum-column-overflow": (
+        ("fh", "--check-zero-sum", "--operator", "@f"),
+        {"f": {"support": ["p", "q"], "F": [[[1e308, 0], [0, 0]], [[1e308, 0], [0, 0]]],
+               "tail": [0, 0]}}, 0),
+    "fh-zero-sum-tail-overflow": (
+        ("fh", "--check-zero-sum", "--operator", "@f"),
+        {"f": {"support": ["p"], "F": [[[0, 0]]], "tail": _HUGE_TAIL}}, 0),
+    "fh-refute-symmetric-tail-overflow": (
+        ("fh", "--refute", "--operator", "@f"),
+        {"f": {"support": [], "F": [], "tail": _HUGE_TAIL, "symmetric": True}}, 1),
+    "fh-canonical-residual-overflow": (
+        ("fh", "--canonical", "--operator", "@f"),
+        {"f": {"support": ["p"], "F": [[[-1e308, 0]]], "tail": [1e308, 0]}}, 0),
+    "fh-decompose-gap-overflow": (
+        ("fh", "--decompose", "--matrix", "@f", "--atoms", "a,b,c"),
+        {"f": [[[1e308, 0], [0, 0], [0, 0]], [[0, 0], [-1e308, 0], [0, 0]],
+               [[0, 0], [0, 0], [-1e308, 0]]]}, 0),
+    "socks-alternation-overflow": (
+        ("socks", "--inner", "--a", "@t", "--b", "@t"), {"t": {"N": 1, "table": _HUGE_PAIR}}, 1),
+    "socks-inner-overflow": (
+        ("socks", "--inner", "--a", "@t", "--b", "@t"),
+        {"t": {"N": 1, "table": [[1e308, 0], [-1e308, 0]]}}, 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MULTI_LEAF_EXTREMES))
+def test_multi_leaf_extremes_exit_cleanly_without_warnings(case, tmp_path):
+    argv, files, code = _MULTI_LEAF_EXTREMES[case]
+    for name, doc in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        done = run_cli(*(str(tmp_path / f"{a[1:]}.json") if a.startswith("@") else a
+                         for a in argv))
+    assert not caught, [str(w.message) for w in caught]
+    assert done.returncode == code, done.stderr
+    assert done.stderr.count("\n") == (code != 0) and "Traceback" not in done.stderr
+
+
+# A constructor's own check on a value a loader builds, with no deeper node
+# to blame, names the document root.
+@pytest.mark.parametrize("kind, argv, doc, message", [
+    pytest.param("observable", ("spec", "--operator"), [[[1, 0], [1, 0]], [[0, 0], [1, 0]]],
+                 "matrix is not Hermitian within tolerance", id="observable"),
+    pytest.param("eigensystem", ("spec", "--operator"),
+                 {"ambient_dim": 2, "pairs": [{"value": 1, "vector": [[1, 0], [0, 0]]},
+                                              {"value": 2, "vector": [[1, 0], [0, 0]]}]},
+                 "eigenvectors are not orthonormal", id="eigensystem"),
+    pytest.param("fockvector", ("socks", "--support", "--vector"), {"coeffs": [[1, 0]] * 34},
+                 "at most 33 components supported", id="fockvector"),
+    pytest.param("subspace", ("lattice", "--op", "alpha", "--a"),
+                 {"finite": [], "cofinite_excluding": ["p", "p"]},
+                 "excluded atoms must be distinct", id="subspace"),
+])
+def test_a_failed_constructor_check_names_the_document_root(kind, argv, doc, message, workdir):
+    _, write = workdir
+    done = run_cli(*argv, write(f"{kind}.json", json.dumps(doc)))
+    assert done == (1, "", f"error: /: {message}\n")

@@ -1,6 +1,7 @@
 """Finite-block operators, probe recovery, and the symbolic subspace class."""
 
 import json
+import warnings
 from typing import NamedTuple
 
 import numpy as np
@@ -110,6 +111,24 @@ def test_zero_sum_compatibility_and_preservation():
     probe = vec(p=1.0, z=-1.0)
     image = fh_apply(good, probe)
     assert sum(image.as_dict().values()) == pytest.approx(0.0)
+
+
+def test_block_operators_with_huge_entries_need_no_numpy_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # the first column sums to 2e308, past the float range and the tail
+        assert not zero_sum_compatible(FHOperator(("p", "q"), [[1e308, 0.0], [1e308, 0.0]], 0.0))
+        # -1e308 - 1e308 overflows: the atom is no repeat of the tail and stays
+        kept = canonicalize(FHOperator(("p",), [[-1e308]], 1e308))
+        assert (kept.support, kept.block.tolist(), kept.tail) == (("p",), [[-1e308]], 1e308)
+        # the gap from -1e308 to 1e308 overflows while the scalar pattern is found
+        found = decompose_equivariant(np.diag([1e308, -1e308, -1e308]), ["a", "b", "c"])
+        assert (found.support, found.block.tolist(), found.tail) == (("a",), [[1e308]], -1e308)
+        # |tail| overflows though both of its parts are finite
+        tail = complex(1.3e308, 1.3e308)
+        assert not zero_sum_compatible(FHOperator(("p",), [[0.0]], tail))
+        with pytest.raises(ValidationError, match="^symmetric-flagged tail must be real$"):
+            FHOperator((), np.zeros((0, 0)), tail, symmetric=True)
 
 
 def test_fh_to_matrix_window():

@@ -219,6 +219,18 @@ def test_joint_generator_reproduces_the_family():
         assert np.allclose(rebuilt.matrix(), original.matrix())
 
 
+@pytest.mark.parametrize("dim", [0, 3])
+def test_an_empty_joint_family_gives_empty_operators(dim):
+    empty = EigenSystem(dim, np.zeros(0), np.zeros((0, dim)))
+    assert commeasurable([empty, empty])
+    assert joint_eigensystem([empty, empty]) == []
+    calculus = functional_calculus(lambda s, t: s + t, [empty, empty])
+    generator, tables = joint_generator([empty, empty])
+    for system in (calculus, generator):
+        assert (system.ambient_dim, system.values.shape, system.vectors.shape) == (dim, (0,), (0, dim))
+    assert tables == [{}, {}]
+
+
 def test_polynomial_and_minimal_polynomial():
     p = Polynomial((1.0, 0.0, 2.0))  # 1 + 2 t^2
     assert p.degree == 2

@@ -140,6 +140,14 @@ def test_clusters_compare_the_magnitude_of_complex_gaps():
     assert list(numeric.clusters(values, 2.0)) == [(0, 5)]
 
 
+def test_clusters_split_at_a_gap_that_overflows():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert list(numeric.clusters(np.array([-1e308, 1e308]), 1.0)) == [(0, 1), (1, 2)]
+        system = from_eigenpairs([(1e308, [1.0, 0.0]), (-1e308, [0.0, 1.0])], 2)
+    assert system.values.tolist() == [-1e308, 1e308]
+
+
 def test_clusters_split_at_a_nan_gap():
     assert list(numeric.clusters(np.array([0.0, 0.0, NAN]), 1.0)) == [(0, 2), (2, 3)]
 

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from finobs.errors import SchemaError, ValidationError
+from finobs import finitary
+from finobs.errors import SchemaError, ToleranceError, ValidationError
 from finobs.fhlogic import FHOperator, subspace
 from finobs.finitary import diagonalize, from_eigenpairs
 from finobs.measurement import ObjectSet, PartitionPlus
@@ -257,6 +258,25 @@ def test_load_function_polynomial_and_points():
         load_function({"poly": [1.0], "points": []})
     with pytest.raises(SchemaError):
         load_function({})
+
+
+def test_a_loader_names_the_root_for_a_failed_constructor_check(monkeypatch):
+    with pytest.raises(SchemaError) as info:
+        loads_value("observable", "[[[1, 0], [1, 0]], [[0, 0], [1, 0]]]")
+    assert str(info.value) == "/: matrix is not Hermitian within tolerance"
+    # a deeper node keeps its own pointer
+    with pytest.raises(SchemaError) as info:
+        loads_value("partition", '{"distinguished": "a", "blocks": [["a", "x"], ["x"]]}')
+    assert str(info.value) == "/blocks: blocks overlap"
+
+    # a tolerance failure is no schema problem, and keeps its type
+    def fails(m):
+        raise ToleranceError("eigen residual out of tolerance")
+
+    monkeypatch.setattr(finitary, "diagonalize", fails)
+    with pytest.raises(ToleranceError) as info:
+        loads_value("observable", "[[[1, 0]]]")
+    assert type(info.value) is ToleranceError
 
 
 def test_load_labeling_family():

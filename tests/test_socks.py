@@ -5,6 +5,8 @@ and inner-product identities are exact in binary floating point and the
 assertions can use plain equality.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -62,6 +64,23 @@ def test_signed_tensor_validates_alternation():
         SignedTensor(2, broken)
     with pytest.raises(ValidationError):
         SignedTensor(2, good.table[:3])
+
+
+def test_huge_tensors_need_no_numpy_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # 1e308 - (-1e308) overflows; the entries break the sign law
+        with pytest.raises(ValidationError, match="sign alternation law"):
+            SignedTensor(1, [1e308, 1e308])
+        huge = SignedTensor(1, [1e308, -1e308])
+        with pytest.raises(ValidationError, match="^tensor inner product overflows$"):
+            tensor_inner(huge, huge)
+        with pytest.raises(ValidationError, match="^table entries must be finite$"):
+            pair_tensor([PairVector(0, 1e200), PairVector(1, 1e200)])
+        with pytest.raises(ValidationError, match="^table entries must be finite$"):
+            SignedTensor(1, [np.inf, -np.inf])
+        big = SignedTensor(1, [2.0**500, -(2.0**500)])
+        assert tensor_inner(big, big) == 2.0**1001
 
 
 def test_pair_tensor_needs_consecutive_pairs():

@@ -122,7 +122,7 @@ def test_heaviest_first_names_checks_of_the_suites():
 
 
 def test_checks_start_heaviest_first_and_the_rest_in_suite_order():
-    checks = [fn for suite in verify.SUITE_ORDER for fn in verify.SUITES[suite]]
+    checks = [fn for suite in verify.SUITES.values() for fn in suite]
     started = [REPORT_NAMES[i] for i in verify._dispatch_order(checks)]
     heavy = list(verify.HEAVIEST_FIRST)
     assert started == heavy + [name for name in REPORT_NAMES if name not in heavy]

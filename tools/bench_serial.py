@@ -70,8 +70,8 @@ def checks_child():
     from finobs import verify
 
     out = {}
-    for suite in verify.SUITE_ORDER:
-        for fn in verify.SUITES[suite]:
+    for suite in verify.SUITES.values():
+        for fn in suite:
             runs = []
             for _ in range(CHECK_REPEATS + 1):  # the first run is the warm-up
                 t0 = time.process_time()

@@ -15,7 +15,8 @@ PARENT and CHANGE are source checkouts.  Each runs from its own `src`
   neighbouring pair, and the dump of x meet (y join z).
 
 The first three groups keep the stdout, stderr and exit code of a
-subprocess.  The gate prints how many records differ in each group.  A
+subprocess.  The gate prints how many records differ in each group, and
+the line count of each tree's `src/` Python files, as `wc -l` counts.  A
 lattice record that differs is loaded in CHANGE next to the parent's
 and compared with `subspace_equal`.  The exit status is 1 when a record
 of the first three groups differs or a moved lattice record spans
@@ -92,6 +93,11 @@ def child(task, payload):
     return [fhlogic.subspace_equal(load("subspace", a), load("subspace", b)) for a, b in payload]
 
 
+def src_lines(tree):
+    """Newlines in the `.py` files under `tree`'s `src/`."""
+    return sum(path.read_bytes().count(b"\n") for path in (tree / "src").rglob("*.py"))
+
+
 def lattice_corpus():
     """Spanning sets of 3 to 6 atoms with Gaussian-integer or float
     coordinates, with no exclusion, the whole window or a part of it."""
@@ -159,6 +165,7 @@ def main(argv=None):
             print(f"lattice {kind}: {len(flags)} of {total} records differ, "
                   f"{sum(flags)} of them subspace_equal")
         ok = ok and all(equal)
+    print(f"src lines: parent {src_lines(parent)}, change {src_lines(change)}")
     sys.exit(0 if ok else 1)
 
 
