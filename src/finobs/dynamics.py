@@ -69,7 +69,7 @@ def _spectral_projectors(system):
     values, vectors = system.values, system.vectors
     return [
         (float(np.mean(values[start:stop])), vectors[start:stop].T @ vectors[start:stop].conj())
-        for start, stop in numeric.clusters(values, numeric.tol_dedup(system.norm()))
+        for start, stop in system.clusters()
     ]
 
 

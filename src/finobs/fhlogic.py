@@ -121,10 +121,11 @@ def zero_sum_compatible(op):
     scalar; probing with two-atom differences across the support
     boundary recovers the same criterion.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # within() fails an inf or NaN sum
-        mismatch = np.sum(op.block, axis=0) - op.tail
-    scale = max(1.0, np.abs(op.tail), np.max(np.abs(op.block), initial=0.0))
-    return numeric.within(mismatch, numeric.ZERO_SUM * scale)
+    # over 2**k, k > 0 where a sum or magnitude could overflow: exact, so in range the bits agree
+    c = 2.0 ** -max(numeric.scale_exponent(op.block), numeric.scale_exponent(op.tail), 0)
+    block, tail = op.block * c, op.tail * c
+    scale = max(c, np.abs(tail), np.max(np.abs(block), initial=0.0))
+    return numeric.within(np.sum(block, axis=0) - tail, numeric.ZERO_SUM * scale)
 
 
 def fh_to_matrix(op, atoms):
@@ -254,7 +255,7 @@ def represent_functional(samples, window):
             if (a, b) not in samples and (b, a) not in samples:
                 continue
             predicted = weights.get(a, 0.0) - weights.get(b, 0.0)
-            if not numeric.within(abs(probe(a, b) - predicted), 10 * numeric.PROBE):
+            if not numeric.within(abs(probe(a, b) - predicted), numeric.PROBE_RECHECK):
                 raise Inconsistent(
                     f"sample for ({a!r}, {b!r}) conflicts with the recovered weights"
                 )
@@ -322,7 +323,7 @@ def _touched(rows, window):
 
 def _inside(rows):
     """Mask of the atoms whose basis vector lies in the span of orthonormal `rows`."""
-    return np.sum(np.abs(rows) ** 2, axis=0) >= 1.0 - 10 * numeric.SPAN
+    return np.sum(np.abs(rows) ** 2, axis=0) >= 1.0 - numeric.INSIDE
 
 
 def _canonical(rows, window, cofinite):

@@ -24,22 +24,9 @@ from .errors import (
 def _vector_key(v):
     # lexicographic key on rounded components; fixes ordering inside
     # degenerate eigenvalue clusters
-    r = np.round(v.real, 12) + 0.0
-    i = np.round(v.imag, 12) + 0.0
+    r = np.round(v.real, numeric.VECTOR_KEY_DIGITS) + 0.0
+    i = np.round(v.imag, numeric.VECTOR_KEY_DIGITS) + 0.0
     return tuple(np.column_stack([r, i]).ravel().tolist())
-
-
-def _canonical_order(values, vectors):
-    order = np.argsort(values, kind="stable")
-    values = values[order]
-    vectors = vectors[order]
-    pieces = []
-    for start, stop in numeric.clusters(values, numeric.tol_dedup(np.max(np.abs(values)))):
-        group = list(range(start, stop))
-        if len(group) > 1:
-            group.sort(key=lambda j: _vector_key(vectors[j]))
-        pieces.extend(group)
-    return values[pieces], vectors[pieces]
 
 
 @dataclass(eq=False)
@@ -56,15 +43,14 @@ class EigenSystem:
     vectors: np.ndarray
 
     def __post_init__(self):
-        if np.iscomplexobj(self.values):
-            vals = np.asarray(self.values)
-            scale = 1.0 + np.max(np.abs(vals), initial=0.0)
-            if not numeric.within(vals.imag, numeric.REAL * scale):
-                raise ValidationError("eigenvalues must be real")
-            vals = vals.real
-        else:
-            vals = self.values
-        values = np.atleast_1d(np.asarray(vals, dtype=float))
+        values = np.atleast_1d(np.asarray(self.values))
+        if np.iscomplexobj(values) or not np.isfinite(values).all():
+            for value in values.astype(complex).tolist():
+                if not np.isfinite(value):
+                    raise ValidationError(f"eigenvalue {value} is not finite")
+                if not numeric.within(abs(value.imag), numeric.REAL * (1.0 + abs(value))):
+                    raise ValidationError(f"eigenvalue {value} is not real")
+        values = np.asarray(values.real, dtype=float)
         vectors = np.atleast_2d(np.asarray(self.vectors, dtype=complex))
         if vectors.shape != (len(values), self.ambient_dim):
             raise ValidationError(
@@ -73,14 +59,18 @@ class EigenSystem:
             )
         if len(values) > self.ambient_dim:
             raise ValidationError("more eigenpairs than ambient dimensions")
-        if not np.all(np.isfinite(values)):
-            raise ValidationError("eigenvalues must be finite")
-        if len(values):
-            if not numeric.orthonormal(vectors, numeric.ORTH):
-                raise ValidationError("eigenvectors are not orthonormal")
-            values, vectors = _canonical_order(values, vectors)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "vectors", vectors)
+        if not numeric.orthonormal(vectors, numeric.ORTH):
+            raise ValidationError("eigenvectors are not orthonormal")
+        order = np.argsort(values, kind="stable")
+        object.__setattr__(self, "values", values[order])
+        tie_broken = []
+        for start, stop in self.clusters():
+            group = order[start:stop]
+            if len(group) > 1:
+                group = sorted(group, key=lambda j: _vector_key(vectors[j]))
+            tie_broken.extend(group)
+        object.__setattr__(self, "values", values[tie_broken])
+        object.__setattr__(self, "vectors", vectors[tie_broken])
 
     @property
     def count(self):
@@ -90,10 +80,13 @@ class EigenSystem:
         """Operator norm: largest eigenvalue magnitude."""
         return float(np.max(np.abs(self.values), initial=0.0))
 
+    def clusters(self):
+        """(start, stop) runs of near-equal values, gaps within numeric.tol_dedup of the norm,
+        read off the sorted values: the tie-break reorders values only inside a run."""
+        return list(numeric.clusters(np.sort(self.values), numeric.tol_dedup(self.norm())))
+
     def matrix(self):
         """Dense action: sum of value * v v* over all pairs."""
-        if not self.count:
-            return np.zeros((self.ambient_dim, self.ambient_dim), dtype=complex)
         return (self.vectors.T * self.values) @ self.vectors.conj()
 
 
@@ -125,22 +118,17 @@ def diagonalize(m):
 def from_eigenpairs(pairs, ambient_dim):
     """Build an EigenSystem from (value, vector) pairs.
 
-    Rejects non-finite or non-real eigenvalues and non-orthonormal
-    vector families; duplicated vectors fail the orthonormality check.
+    Rejects vectors not of length `ambient_dim`; EigenSystem rejects
+    non-finite or non-real eigenvalues and non-orthonormal vector
+    families, so duplicated vectors fail the orthonormality check.
     """
-    values = []
-    vectors = []
-    for value, vector in pairs:
-        value = complex(value)
-        if not np.isfinite(value):
-            raise ValidationError(f"eigenvalue {value} is not finite")
-        if not numeric.within(abs(value.imag), numeric.REAL * (1.0 + abs(value))):
-            raise ValidationError(f"eigenvalue {value} is not real")
-        values.append(value.real)
-        vectors.append(np.asarray(vector, dtype=complex))
-    if not values:
-        return EigenSystem(ambient_dim, np.zeros(0), np.zeros((0, ambient_dim)))
-    return EigenSystem(ambient_dim, np.array(values), np.array(vectors))
+    pairs = [(complex(value), np.asarray(vector, dtype=complex)) for value, vector in pairs]
+    for i, (_, vector) in enumerate(pairs):
+        if vector.shape != (ambient_dim,):
+            raise ValidationError(f"eigenvector {i} has shape {vector.shape}, not ({ambient_dim},)")
+    values = np.array([value for value, _ in pairs], dtype=complex)
+    vectors = np.array([vector for _, vector in pairs]).reshape(len(pairs), ambient_dim)
+    return EigenSystem(ambient_dim, values, vectors)
 
 
 def _expand(basis, x):
@@ -211,6 +199,13 @@ def orbit_span_dim(m, x, cap):
     return len(basis)
 
 
+def _eigh_on(compressed, basis):
+    """Eigenvalues of the Hermitian part of `compressed`, an operator on the
+    span of the rows `basis`, and its eigenvectors as rows of the ambient space."""
+    w, u = np.linalg.eigh((compressed + compressed.conj().T) / 2.0)
+    return w, u.T @ basis
+
+
 def restrict(system, span_vectors):
     """Operator restricted to an invariant subspace of its domain.
 
@@ -229,10 +224,7 @@ def restrict(system, span_vectors):
         if not numeric.within(_expand(basis, y)[1], numeric.DOMAIN * (1.0 + numeric.norm(y))):
             raise NotInvariant(q)
         images.append(y)
-    compressed = basis.conj() @ np.array(images).T
-    compressed = (compressed + compressed.conj().T) / 2.0
-    w, u = np.linalg.eigh(compressed)
-    return EigenSystem(system.ambient_dim, w, u.T @ basis)
+    return EigenSystem(system.ambient_dim, *_eigh_on(basis.conj() @ np.array(images).T, basis))
 
 
 def _domains_match(a, b):
@@ -277,17 +269,15 @@ def joint_eigensystem(systems):
         td = numeric.tol_dedup(system.norm())
         refined = []
         for block in blocks:
-            compressed = block.conj() @ m @ block.T
-            compressed = (compressed + compressed.conj().T) / 2.0
-            w, u = np.linalg.eigh(compressed)
-            rows = u.T @ block
+            w, rows = _eigh_on(block.conj() @ m @ block.T, block)
             refined.extend(rows[start:stop] for start, stop in numeric.clusters(w, td))
         blocks = refined
     out = [
         (v, tuple(float(np.real(np.vdot(v, m @ v))) for m in mats))
         for block in blocks for v in block
     ]
-    out.sort(key=lambda item: (tuple(round(t, 10) for t in item[1]), _vector_key(item[0])))
+    digits = numeric.JOINT_KEY_DIGITS
+    out.sort(key=lambda item: (tuple(round(t, digits) for t in item[1]), _vector_key(item[0])))
     return out
 
 
@@ -329,16 +319,9 @@ class Polynomial:
         return len(self.coeffs) - 1
 
 
-def deduplicate_values(values):
-    """Cluster sorted eigenvalues by gap and return one mean per cluster."""
-    values = np.sort(np.asarray(values, dtype=float))
-    td = numeric.tol_dedup(np.max(np.abs(values), initial=0.0))
-    return [float(np.mean(values[start:stop])) for start, stop in numeric.clusters(values, td)]
-
-
 def minimal_polynomial(system):
     """Monic annihilator with one root per deduplicated eigenvalue."""
-    roots = deduplicate_values(system.values)
+    roots = [float(np.mean(np.sort(system.values[start:stop]))) for start, stop in system.clusters()]
     with np.errstate(over="ignore", invalid="ignore"):
         coeffs = np.real(np.polynomial.polynomial.polyfromroots(roots))
     if not np.all(np.isfinite(coeffs)):

@@ -24,6 +24,7 @@ EIG = 1e-8  # eigen residual, per unit of 1 + operator norm
 COMM = 1e-8  # commutator residual, per unit of 1 + |A| |B|
 DEDUP = 1e-8  # eigenvalue gap still inside one cluster, per unit of 1 + largest |value|
 SPAN = 1e-9  # rank cut-off per unit of max(s[0], 1); lattice angle, release and overlap cut-off
+INSIDE = 10 * SPAN  # shortfall from 1 of an atom's squared projection length inside a span
 KRYLOV = 1e-9  # deflated unit orbit vector length at which the orbit stops growing
 TABLE_MATCH = 1e-6  # distance at which a sample point answers a function lookup
 STATE = 1e-9  # deviation of |psi| from 1
@@ -37,8 +38,11 @@ ZERO_COORD = 1e-14  # coordinate magnitude dropped when rows become atom vectors
 ZERO_SUM = 1e-12  # column-sum mismatch, per unit of the largest entry or tail
 EQUIVARIANT = 1e-10  # entry mismatch tolerated in a recovered finite-block form
 PROBE = 1e-9  # disagreement between probes of one zero-sum functional
+PROBE_RECHECK = 10 * PROBE  # gap between a sampled probe and the recovered weights' prediction
 SUPPORT = 1e-12  # coefficient magnitude of a live Fock component
 ALTERNATION = 1e-12  # sign-law mismatch in a signed tensor, per unit of max(|entry|, 1)
+VECTOR_KEY_DIGITS = 12  # decimals of the eigenvector components ordering a degenerate cluster
+JOINT_KEY_DIGITS = 10  # decimals of the eigenvalue tuples ordering a joint eigenbasis
 
 
 def tol_eig(scale):

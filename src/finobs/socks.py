@@ -109,10 +109,11 @@ class SignedTensor:
         if not np.isfinite(table).all():
             raise ValidationError("table entries must be finite")
         signs = alternation_signs(self.length)
-        scale = max(np.max(np.abs(table), initial=0.0), 1.0)
-        with np.errstate(over="ignore"):  # a mismatch that overflows is inf: within() fails it
-            mismatch = table - signs * table[0]
-        if not numeric.within(mismatch, numeric.ALTERNATION * scale):
+        # over 2**k, k > 0 where a magnitude could overflow: exact, so in range the bits agree
+        c = 2.0 ** -max(numeric.scale_exponent(table), 0)
+        scaled = table * c
+        mismatch = scaled - signs * scaled[0]
+        if not numeric.within(mismatch, numeric.ALTERNATION * max(np.max(np.abs(scaled)), c)):
             raise ValidationError("table entries violate the sign alternation law")
         object.__setattr__(self, "table", table)
 

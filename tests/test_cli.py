@@ -760,6 +760,9 @@ _MULTI_LEAF_EXTREMES = {
     "fh-zero-sum-tail-overflow": (
         ("fh", "--check-zero-sum", "--operator", "@f"),
         {"f": {"support": ["p"], "F": [[[0, 0]]], "tail": _HUGE_TAIL}}, 0),
+    "fh-zero-sum-empty-block-tail-overflow": (
+        ("fh", "--check-zero-sum", "--operator", "@f"),
+        {"f": {"support": [], "F": [], "tail": _HUGE_TAIL}}, 0),
     "fh-refute-symmetric-tail-overflow": (
         ("fh", "--refute", "--operator", "@f"),
         {"f": {"support": [], "F": [], "tail": _HUGE_TAIL, "symmetric": True}}, 1),
@@ -776,6 +779,8 @@ _MULTI_LEAF_EXTREMES = {
         ("socks", "--inner", "--a", "@t", "--b", "@t"),
         {"t": {"N": 1, "table": [[1e308, 0], [-1e308, 0]]}}, 1),
 }
+# the stdout of the cases whose answer is checked as well
+_MULTI_LEAF_ANSWERS = {"fh-zero-sum-empty-block-tail-overflow": {"zero_sum": True}}
 
 
 @pytest.mark.parametrize("case", sorted(_MULTI_LEAF_EXTREMES))
@@ -790,6 +795,8 @@ def test_multi_leaf_extremes_exit_cleanly_without_warnings(case, tmp_path):
     assert not caught, [str(w.message) for w in caught]
     assert done.returncode == code, done.stderr
     assert done.stderr.count("\n") == (code != 0) and "Traceback" not in done.stderr
+    if case in _MULTI_LEAF_ANSWERS:
+        assert json.loads(done.stdout) == _MULTI_LEAF_ANSWERS[case]
 
 
 # A constructor's own check on a value a loader builds, with no deeper node

@@ -127,6 +127,11 @@ def test_block_operators_with_huge_entries_need_no_numpy_warnings():
         # |tail| overflows though both of its parts are finite
         tail = complex(1.3e308, 1.3e308)
         assert not zero_sum_compatible(FHOperator(("p",), [[0.0]], tail))
+        assert not zero_sum_compatible(FHOperator(("p", "q"), [[tail, 0.0], [0.0, tail]], -tail))
+        # an empty block meets the criterion, and so do columns summing to the tail
+        assert zero_sum_compatible(FHOperator((), np.zeros((0, 0)), tail))
+        assert zero_sum_compatible(FHOperator(("p", "q"), [[tail, 0.0], [0.0, tail]], tail))
+        assert zero_sum_compatible(FHOperator(("p", "q"), [[tail, -tail], [-tail, tail]], 0.0))
         with pytest.raises(ValidationError, match="^symmetric-flagged tail must be real$"):
             FHOperator((), np.zeros((0, 0)), tail, symmetric=True)
 

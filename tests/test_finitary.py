@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from finobs import numeric
 from finobs.errors import (
     NotCommeasurable,
     NotInvariant,
@@ -17,7 +18,6 @@ from finobs.finitary import (
     apply,
     check_hermitian,
     commeasurable,
-    deduplicate_values,
     diagonalize,
     from_eigenpairs,
     functional_calculus,
@@ -85,6 +85,25 @@ def test_non_finite_eigenvalues_are_rejected(value):
 def test_from_eigenpairs_rejects_complex_values():
     with pytest.raises(ValidationError):
         from_eigenpairs([(1.0 + 0.1j, E0)], 3)
+
+
+def test_eigensystem_and_from_eigenpairs_share_the_per_value_realness_rule():
+    # 1e-7 is within REAL of 1 + 1e6, the largest |value|, but not of 1 + 1e-3
+    values = [1e6, 1e-3 + 1e-7j]
+    with pytest.raises(ValidationError, match=r"^eigenvalue \(0\.001\+1e-07j\) is not real$"):
+        EigenSystem(2, values, np.eye(2))
+    with pytest.raises(ValidationError, match=r"^eigenvalue \(0\.001\+1e-07j\) is not real$"):
+        from_eigenpairs(zip(values, np.eye(2)), 2)
+    with pytest.raises(ValidationError, match=r"^eigenvalue \(inf\+0j\) is not finite$"):
+        EigenSystem(2, [1.0, np.inf], np.eye(2))
+    assert list(EigenSystem(2, [1e6, 1e-3 + 1e-16j], np.eye(2)).values) == [1e-3, 1e6]
+
+
+def test_from_eigenpairs_names_the_expected_vector_length():
+    with pytest.raises(ValidationError, match=r"^eigenvector 1 has shape \(1,\), not \(2,\)$"):
+        from_eigenpairs([(1, [1, 0]), (2, [1])], 2)
+    with pytest.raises(ValidationError, match=r"^eigenvector 0 has shape \(3,\), not \(2,\)$"):
+        from_eigenpairs([(1, [1, 0, 0])], 2)
 
 
 def test_partial_operator_domain():
@@ -222,6 +241,10 @@ def test_joint_generator_reproduces_the_family():
 @pytest.mark.parametrize("dim", [0, 3])
 def test_an_empty_joint_family_gives_empty_operators(dim):
     empty = EigenSystem(dim, np.zeros(0), np.zeros((0, dim)))
+    for system in (empty, from_eigenpairs([], dim)):
+        assert (system.count, system.vectors.shape, system.clusters()) == (0, (0, dim), [])
+        matrix = system.matrix()
+        assert matrix.dtype == complex and matrix.shape == (dim, dim) and not matrix.any()
     assert commeasurable([empty, empty])
     assert joint_eigensystem([empty, empty]) == []
     calculus = functional_calculus(lambda s, t: s + t, [empty, empty])
@@ -252,10 +275,24 @@ def test_minimal_polynomial_rejects_overflowing_coefficients():
     assert large.degree == 2 and np.all(np.isfinite(large.coeffs))
 
 
-def test_deduplicate_values_clusters_at_scale():
-    reps = deduplicate_values([1.0, 1.0 + 1e-12, 5.0])
-    assert len(reps) == 2
-    assert reps[0] == pytest.approx(1.0) and reps[1] == 5.0
+def test_clusters_group_near_equal_values_at_scale():
+    system = diag_system(5.0, 1.0, 1.0 + 1e-12)
+    # the tie-break inside a cluster follows the vectors, not the values
+    assert [int(np.argmax(np.abs(v))) for v in system.vectors] == [2, 1, 0]
+    assert system.values[0] > system.values[1]
+    assert system.clusters() == [(0, 2), (2, 3)]
+    mp = minimal_polynomial(system)
+    assert mp.degree == 2
+    assert mp.coeffs == pytest.approx((5.0, -6.0, 1.0))
+    # a chain of gaps within the tolerance is one cluster, though the tie-break
+    # puts its ends next to each other
+    gap = 0.6 * numeric.tol_dedup(1.0)
+    chain = EigenSystem(3, [1.0, 1.0 + gap, 1.0 + 2 * gap], np.eye(3)[[2, 0, 1]])
+    assert list(chain.values) == [1.0, 1.0 + 2 * gap, 1.0 + gap]
+    assert chain.clusters() == [(0, 3)] and minimal_polynomial(chain).degree == 1
+    # a degenerate spectrum: one cluster per eigenspace
+    degenerate = diagonalize(np.diag([7.0, 2.0, 2.0, 7.0, 2.0, -1.0]))
+    assert degenerate.clusters() == [(0, 1), (1, 4), (4, 6)]
 
 
 def test_table_function_lookup():

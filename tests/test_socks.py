@@ -81,6 +81,12 @@ def test_huge_tensors_need_no_numpy_warnings():
             SignedTensor(1, [np.inf, -np.inf])
         big = SignedTensor(1, [2.0**500, -(2.0**500)])
         assert tensor_inner(big, big) == 2.0**1001
+        # |z| overflows though both of its parts are finite; the entries alternate
+        z = complex(1.3e308, 1.3e308)
+        assert SignedTensor(1, [z, -z]).table.tolist() == [z, -z]
+        assert SignedTensor(2, [z, -z, -z, z]).value(ChoiceFunction(2, (1, 1))) == z
+        with pytest.raises(ValidationError, match="sign alternation law"):
+            SignedTensor(1, [z, z])
 
 
 def test_pair_tensor_needs_consecutive_pairs():

@@ -2,11 +2,13 @@
 and `numeric.within` the only place a residual is compared with one.
 
 Any float literal below 1e-5 in a library module is taken for an inline
-tolerance, and any comparison with a tolerance on either side for a
-hand-written gate, which may let NaN through.  `verify` is exempt: its
-pass thresholds are the independent reference the library is checked
-against.  Outside `numeric`, no public function takes a tolerance but
-`canonicalize`, whose two values (0.0 and EQUIVARIANT) are both in use.
+tolerance, and so is a literal number of digits to round to and a
+literal multiple of a table entry; any comparison with a tolerance on
+either side is taken for a hand-written gate, which may let NaN through.
+`verify` is exempt: its pass thresholds are the independent reference
+the library is checked against.  Outside `numeric`, no public function
+takes a tolerance but `canonicalize`, whose two values (0.0 and
+EQUIVARIANT) are both in use.
 """
 
 import ast
@@ -51,6 +53,36 @@ def is_tolerance(node):
     return False
 
 
+def is_literal(node):
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        node = node.operand
+    return isinstance(node, ast.Constant) and type(node.value) in (int, float)
+
+
+def is_table_entry(node):
+    """`numeric.NAME`, an entry of the tolerance table."""
+    return isinstance(node, ast.Attribute) and is_tolerance(node) and node.attr.isupper()
+
+
+def inline_cutoffs(source):
+    """Lines rounding to a literal number of digits (`round`, `np.round`) or
+    multiplying a table entry by a literal; an entry scaled by data, as in
+    `numeric.DOMAIN * numeric.norm(x)`, is no cut-off."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            if getattr(node.func, "id", getattr(node.func, "attr", "")) != "round":
+                continue
+            keywords = [k.value for k in node.keywords if k.arg in {"ndigits", "decimals"}]
+            if any(map(is_literal, node.args[1:] + keywords)):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+            sides = (node.left, node.right)
+            if any(is_literal(a) and is_table_entry(b) for a, b in (sides, sides[::-1])):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
 def tolerance_comparisons(source):
     """Lines comparing a value with a tolerance; `tol is None` tests are no comparison."""
     lines = []
@@ -83,9 +115,28 @@ def test_the_comparison_scan_knows_every_tolerance_form():
     assert tolerance_comparisons("\n".join(kept)) == []
 
 
+def test_the_cutoff_scan_knows_rounding_digits_and_scaled_entries():
+    cutoffs = [
+        "round(t, 10)", "np.round(v.real, 12)", "np.round(v, decimals=3)", "round(t, ndigits=-2)",
+        "within(x, 10 * numeric.PROBE)", "w >= 1.0 - numeric.SPAN * 10", "f(0.5 * numeric.EIG)",
+    ]
+    assert inline_cutoffs("\n".join(cutoffs)) == list(range(1, len(cutoffs) + 1))
+    kept = [
+        "round(t)", "round(t, numeric.JOINT_KEY_DIGITS)", "np.round(v, digits)", "2 * n",
+        "numeric.DOMAIN * numeric.norm(x)", "numeric.ZERO_SUM * scale", "10 * numeric.norm(x)",
+    ]
+    assert inline_cutoffs("\n".join(kept)) == []
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_inline_tolerance_literals(path):
     assert small_float_literals(path) == [], f"move these into finobs.numeric: {path.name}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_inline_cutoffs(path):
+    lines = inline_cutoffs(path.read_text(encoding="utf-8"))
+    assert lines == [], f"name these in finobs.numeric: {path.name} lines {lines}"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

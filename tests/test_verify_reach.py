@@ -28,7 +28,7 @@ from finobs import verify
 
 PACKAGE = Path(finobs.__file__).resolve().parent
 
-# oracle pending (ROADMAP item 2): each entry leaves once verify checks it
+# oracle pending (ROADMAP item 5): each entry leaves once verify checks it
 UNREACHED = {
     "ideal_contains": "oracle pending; demo 01 runs it; check against ideal_members",
     "is_observable": "oracle pending; demo 01 runs it",
