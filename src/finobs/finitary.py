@@ -214,10 +214,10 @@ def restrict(system, span_vectors):
     operator maps the span outside itself.
     """
     basis = numeric.orth_rows(span_vectors)
-    if basis.shape[0] == 0:
-        return EigenSystem(system.ambient_dim, np.zeros(0), np.zeros((0, system.ambient_dim)))
     if basis.shape[1] != system.ambient_dim:
         raise ValidationError("span vectors have the wrong dimension")
+    if basis.shape[0] == 0:
+        return EigenSystem(system.ambient_dim, np.zeros(0), np.zeros((0, system.ambient_dim)))
     images = []
     for q in basis:
         y = apply(system, q)

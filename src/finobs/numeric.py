@@ -5,11 +5,11 @@ once, with what it guards, and so is each rule scaling one by the data
 (`tol_eig`, `tol_comm`, `tol_dedup`).  Callers read them where they are
 used; outside this module only `fhlogic.canonicalize` takes a tolerance.
 Residuals meet them only in `within`, which an inf or NaN residual or
-tolerance fails; the `verify` pass thresholds are separate, as an
-independent reference.  Overflow has one rule: norms of user data go
-through `norm`, inf only when the norm is; other arithmetic that may
-overflow runs under `np.errstate`, and `within` or `np.isfinite` then
-rejects its inf or NaN.
+tolerance fails.  The `verify` pass bounds are kept apart, as an independent
+reference, in `verify.BOUNDS`, and an inf or NaN worst residual fails its
+check there too.  Overflow has one rule: norms of user data go through
+`norm`, inf only when the norm is; other arithmetic that may overflow runs
+under `np.errstate`, and `within` or `np.isfinite` then rejects its inf or NaN.
 """
 
 import math

@@ -28,6 +28,44 @@ class CheckResult:
     detail: str
 
 
+# The bound on each worst residual of a check, by check and residual; a check not
+# named here passes on its counts alone.  The bounds are kept apart from
+# `numeric`'s tolerances on purpose, as the independent reference.
+BOUNDS = {
+    "eigen-reconstruction": {"relative residual": 1e-8},  # |V diag(w) V* - M| / |M|
+    "functional-calculus": {"entry residual": 1e-8},  # f(A, B) against a dense oracle
+    "unitary-evolution": {"norm drift": 1e-10, "group law": 1e-9, "exponential oracle": 1e-8},
+    # the phases are the eigenvalues of C, below 0 or past the last float below 2 pi
+    "concatenation": {"product residual": 1e-8, "hermiticity": 1e-10, "phase below 0": 1e-10,
+                      "phase past 2 pi": 0.0, "commuting reduction": 1e-9},
+    "state-compression": {"drift": 1e-9},  # of a polynomial's expectation
+    # closed-form variances and product; ||<e0, ray>| - 1|, inf unless one ray is shared
+    "variance-complementarity": {"variance": 1e-12, "shared ray": 1e-8},
+    "oscillator-spectrum": {"gap spread": 0.01},  # largest / least of the first five gaps - 1
+    "tensor-inner-identity": {"identity residual": 1e-12, "norm residual": 1e-12},
+    # |sum of A(e_a - e_b)| per unit of max(1, |tail|, |entry|), for A that preserve zero sums
+    "zero-sum-criterion": {"probe sum": 1e-9},
+    "functional-recovery": {"weight residual": 1e-9},
+}
+
+
+def _worst(residuals):
+    """The largest residual, 0.0 when there are none; an inf or NaN anywhere is kept."""
+    return float(np.max(np.asarray(residuals, dtype=float), initial=0.0))
+
+
+def _within(name, label, residual):
+    """The one pass rule: `residual <= BOUNDS[name][label]`, so NaN fails."""
+    return residual <= BOUNDS[name][label]
+
+
+def _result(name, detail, worst, ok=True):
+    """Check `name`, passed when `ok` holds and each worst residual is within its bound."""
+    if worst.keys() != BOUNDS.get(name, {}).keys():
+        raise ValueError(f"{name} bounds {sorted(BOUNDS.get(name, {}))}, not {sorted(worst)}")
+    return CheckResult(name, ok and all(_within(name, k, w) for k, w in worst.items()), detail)
+
+
 def _rng(seed, tag):
     return np.random.default_rng([int(seed), tag])
 
@@ -46,6 +84,18 @@ def _density(rng, d):
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
+
+
+def _subset(rng, atoms, size):
+    """`size` distinct atoms drawn without replacement, in the order of `atoms`."""
+    return tuple(atoms[i] for i in sorted(rng.choice(len(atoms), size=size, replace=False)))
+
+
+def _integer_vector(rng, atoms):
+    """A vector on `atoms` with Gaussian-integer entries in [-3, 3] + [-3, 3]i."""
+    return fhlogic.FiniteSupportVector(
+        {a: complex(int(rng.integers(-3, 4)), int(rng.integers(-3, 4))) for a in atoms}
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +123,7 @@ def _check_partition_ideal_roundtrip(seed):
             if back != partition:
                 failed += 1
     detail = f"{total} partitions over bases of 0..5 objects, {failed} mismatched"
-    return CheckResult("partition-ideal-roundtrip", failed == 0, detail)
+    return _result("partition-ideal-roundtrip", detail, {}, ok=failed == 0)
 
 
 def _le_oracle(fd, gd, relabelings):
@@ -107,7 +157,7 @@ def _check_relabel_order_oracle(seed):
                 if measurement.pref_le(f, g) != _le_oracle(fd, gd, monotone_maps):
                     failed += 1
     detail = f"{pairs} ordered pairs against relabeling enumeration, {failed} disagreements"
-    return CheckResult("relabel-order-oracle", failed == 0, detail)
+    return _result("relabel-order-oracle", detail, {}, ok=failed == 0)
 
 
 def _check_scale_pushforward_oracle(seed):
@@ -143,7 +193,7 @@ def _check_scale_pushforward_oracle(seed):
                     cases += len(hs)
                     failed += sum(measurement.pushforward_partition(h, scale) != expected for h in hs)
     detail = f"{cases} (h, s) cases against the generated-family partition, {failed} mismatched"
-    return CheckResult("scale-pushforward-oracle", failed == 0, detail)
+    return _result("scale-pushforward-oracle", detail, {}, ok=failed == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -152,15 +202,15 @@ def _check_scale_pushforward_oracle(seed):
 
 def _check_eigen_reconstruction(seed):
     rng = _rng(seed, 4)
-    worst = 0.0
+    residuals = []
     for _ in range(100):
         d = int(rng.integers(2, 9))
         m = _hermitian(rng, d)
         system = finitary.diagonalize(m)
-        rel = np.linalg.norm(system.matrix() - m) / np.linalg.norm(m)
-        worst = max(worst, float(rel))
+        residuals.append(np.linalg.norm(system.matrix() - m) / np.linalg.norm(m))
+    worst = _worst(residuals)
     detail = f"100 matrices of dimension 2..8, worst relative residual {worst:.3e}"
-    return CheckResult("eigen-reconstruction", worst <= 1e-8, detail)
+    return _result("eigen-reconstruction", detail, {"relative residual": worst})
 
 
 def _dense_apply(func, m):
@@ -170,7 +220,7 @@ def _dense_apply(func, m):
 
 def _check_functional_calculus(seed):
     rng = _rng(seed, 5)
-    worst = 0.0
+    residuals = []
     for _ in range(50):
         d = int(rng.integers(2, 7))
         base = _hermitian(rng, d)
@@ -181,25 +231,20 @@ def _check_functional_calculus(seed):
         bm = _dense_apply(q, base)
         asys = finitary.diagonalize(am)
         bsys = finitary.diagonalize(bm)
-        pair = [asys, bsys]
         checks = [
-            (finitary.functional_calculus(lambda a, b: a + b, pair), am + bm),
-            (finitary.functional_calculus(lambda a, b: a * b, pair), am @ bm),
-            (finitary.functional_calculus(lambda a, b: a * a, pair), am @ am),
-            (
-                finitary.functional_calculus(lambda a, b: p(q(a)), pair),
-                _dense_apply(lambda x: p(q(x)), am),
-            ),
-            (
-                # product of functions maps to the product of operators
-                finitary.functional_calculus(lambda a, b: p(a) * q(b), pair),
-                _dense_apply(p, am) @ _dense_apply(q, bm),
-            ),
+            (lambda a, b: a + b, am + bm),
+            (lambda a, b: a * b, am @ bm),
+            (lambda a, b: a * a, am @ am),
+            (lambda a, b: p(q(a)), _dense_apply(lambda x: p(q(x)), am)),
+            # product of functions maps to the product of operators
+            (lambda a, b: p(a) * q(b), _dense_apply(p, am) @ _dense_apply(q, bm)),
         ]
-        for got, want in checks:
-            worst = max(worst, float(np.max(np.abs(got.matrix() - want))))
+        for f, want in checks:
+            got = finitary.functional_calculus(f, [asys, bsys]).matrix()
+            residuals.append(np.max(np.abs(got - want)))
+    worst = _worst(residuals)
     detail = f"50 commuting pairs x 5 function forms, worst entry residual {worst:.3e}"
-    return CheckResult("functional-calculus", worst <= 1e-8, detail)
+    return _result("functional-calculus", detail, {"entry residual": worst})
 
 
 # ---------------------------------------------------------------------------
@@ -221,9 +266,7 @@ def _expm(m):
 
 def _check_unitary_evolution(seed):
     rng = _rng(seed, 6)
-    worst_norm = 0.0
-    worst_group = 0.0
-    worst_oracle = 0.0
+    norm, group, oracle = [], [], []
     for _ in range(50):
         d = int(rng.integers(2, 9))
         a = _hermitian(rng, d)
@@ -233,25 +276,19 @@ def _check_unitary_evolution(seed):
         t = float(rng.uniform(-10, 10))
         s = float(rng.uniform(-10, 10))
         out = dynamics.evolve(system, psi, t)
-        worst_norm = max(worst_norm, abs(float(np.linalg.norm(out)) - 1.0))
+        norm.append(abs(np.linalg.norm(out) - 1.0))
         two_step = dynamics.evolve(system, dynamics.evolve(system, psi, s), t)
-        one_step = dynamics.evolve(system, psi, s + t)
-        worst_group = max(worst_group, float(np.linalg.norm(two_step - one_step)))
-        oracle = _expm(-1j * t * a) @ psi
-        worst_oracle = max(worst_oracle, float(np.linalg.norm(out - oracle)))
-    detail = (
-        f"50 cases: norm drift {worst_norm:.3e}, group law {worst_group:.3e}, "
-        f"exponential oracle {worst_oracle:.3e}"
-    )
-    passed = worst_norm <= 1e-10 and worst_group <= 1e-9 and worst_oracle <= 1e-8
-    return CheckResult("unitary-evolution", passed, detail)
+        group.append(np.linalg.norm(two_step - dynamics.evolve(system, psi, s + t)))
+        oracle.append(np.linalg.norm(out - _expm(-1j * t * a) @ psi))
+    worst = {"norm drift": _worst(norm), "group law": _worst(group),
+             "exponential oracle": _worst(oracle)}
+    detail = "50 cases: " + ", ".join(f"{k} {w:.3e}" for k, w in worst.items())
+    return _result("unitary-evolution", detail, worst)
 
 
 def _check_concatenation(seed):
     rng = _rng(seed, 7)
-    worst_prod = 0.0
-    worst_herm = 0.0
-    spectrum_ok = True
+    prod, herm, below, past, comm = [], [], [], [], []
     for _ in range(50):
         d = int(rng.integers(2, 7))
         a = _hermitian(rng, d)
@@ -260,36 +297,34 @@ def _check_concatenation(seed):
         b *= rng.uniform(0.5, 4.0) / np.linalg.norm(b, 2)
         c = dynamics.concatenate(a, b)
         target = _expm(-1j * a) @ _expm(-1j * b)
-        worst_prod = max(worst_prod, float(np.linalg.norm(_expm(-1j * c) - target)))
-        worst_herm = max(worst_herm, float(np.max(np.abs(c - c.conj().T))))
+        prod.append(np.linalg.norm(_expm(-1j * c) - target))
+        herm.append(np.max(np.abs(c - c.conj().T)))
         phases = np.linalg.eigvalsh(c)
-        if phases.min() < -1e-10 or phases.max() >= 2.0 * np.pi:
-            spectrum_ok = False
-    worst_comm = 0.0
+        below.append(-phases.min())
+        past.append(phases.max() - np.nextafter(2.0 * np.pi, 0.0))
     for _ in range(50):
         d = int(rng.integers(2, 7))
         a = np.diag(rng.uniform(0.0, 3.0, size=d)).astype(complex)
         b = np.diag(rng.uniform(0.0, 3.0, size=d)).astype(complex)
         c = dynamics.concatenate(a, b)
         want = np.diag(np.mod(np.diag(a + b).real, 2.0 * np.pi)).astype(complex)
-        worst_comm = max(worst_comm, float(np.max(np.abs(c - want))))
+        comm.append(np.max(np.abs(c - want)))
+    prod, herm, below, past, comm = map(_worst, (prod, herm, below, past, comm))
+    in_range = (_within("concatenation", "phase below 0", below)
+                and _within("concatenation", "phase past 2 pi", past))
     detail = (
-        f"50 pairs: product residual {worst_prod:.3e}, hermiticity {worst_herm:.3e}, "
-        f"phases in [0, 2pi) {'yes' if spectrum_ok else 'NO'}; "
-        f"50 commuting reductions, residual {worst_comm:.3e}"
+        f"50 pairs: product residual {prod:.3e}, hermiticity {herm:.3e}, "
+        f"phases in [0, 2pi) {'yes' if in_range else 'NO'}; "
+        f"50 commuting reductions, residual {comm:.3e}"
     )
-    passed = (
-        worst_prod <= 1e-8
-        and worst_herm <= 1e-10
-        and spectrum_ok
-        and worst_comm <= 1e-9
-    )
-    return CheckResult("concatenation", passed, detail)
+    return _result("concatenation", detail, {
+        "product residual": prod, "hermiticity": herm, "phase below 0": below,
+        "phase past 2 pi": past, "commuting reduction": comm})
 
 
 def _check_state_compression(seed):
     rng = _rng(seed, 8)
-    worst = 0.0
+    drifts = []
     for _ in range(20):
         d = int(rng.integers(3, 7))
         distinct = rng.uniform(-2, 2, size=int(rng.integers(2, d)))
@@ -305,9 +340,10 @@ def _check_state_compression(seed):
             f = finitary.Polynomial(tuple(coeffs))
             before = dynamics.expectation(f, system, rho)
             after = dynamics.expectation(f, system, compressed)
-            worst = max(worst, abs(before - after))
+            drifts.append(abs(before - after))
+    worst = _worst(drifts)
     detail = f"20 degenerate pairs x 5 polynomials of degree 6, worst drift {worst:.3e}"
-    return CheckResult("state-compression", worst <= 1e-9, detail)
+    return _result("state-compression", detail, {"drift": worst})
 
 
 def _check_variance_complementarity(seed):
@@ -322,14 +358,10 @@ def _check_variance_complementarity(seed):
     mean = np.vdot(e0, sw)
     oracle = float(np.linalg.norm(sw - mean * e0) ** 2)
     shared = dynamics.subspace_intersection(s_sys.vectors, t_sys.vectors)
-    ray_ok = len(shared) == 1 and abs(abs(shared[0][0]) - 1.0) <= 1e-8
-    residuals = [
-        abs(vs - oracle),
-        abs(vs - 0.5),
-        abs(vt - vs),
-        abs(vs * vt - 0.25),
-    ]
-    worst_extra = 0.0
+    ray = abs(abs(shared[0][0]) - 1.0) if len(shared) == 1 else np.inf
+    ray_ok = _within("variance-complementarity", "shared ray", ray)
+    residuals = [abs(vs - oracle), abs(vs - 0.5), abs(vt - vs), abs(vs * vt - 0.25)]
+    extra = []
     for _ in range(10):
         d = int(rng.integers(5, 10))
         a0, a1 = sorted(rng.uniform(-3, 3, size=2))
@@ -339,18 +371,14 @@ def _check_variance_complementarity(seed):
         e = np.zeros(d, dtype=complex)
         e[0] = 1.0
         want = (a0 - a1) ** 2 / 4.0
-        worst_extra = max(
-            worst_extra,
-            abs(dynamics.variance(ss, e) - want),
-            abs(dynamics.variance(tt, e) - want),
-        )
-    worst = max(max(residuals), worst_extra)
+        extra += [abs(dynamics.variance(ss, e) - want), abs(dynamics.variance(tt, e) - want)]
     detail = (
         f"variance {vs:.3e} twice, product {vs * vt:.3e}, "
         f"{'one shared ray' if ray_ok else 'WRONG intersection'}, "
-        f"10 seeded pairs residual {worst_extra:.3e}"
+        f"10 seeded pairs residual {_worst(extra):.3e}"
     )
-    return CheckResult("variance-complementarity", worst <= 1e-12 and ray_ok, detail)
+    worst = {"variance": _worst(residuals + extra), "shared ray": ray}
+    return _result("variance-complementarity", detail, worst)
 
 
 def _check_oscillator_spectrum(seed):
@@ -364,7 +392,7 @@ def _check_oscillator_spectrum(seed):
         f"400-point grid: complete {'yes' if complete else 'NO'}, "
         f"first five gaps spread {spread:.3e}"
     )
-    return CheckResult("oscillator-spectrum", complete and spread <= 0.01, detail)
+    return _result("oscillator-spectrum", detail, {"gap spread": spread}, ok=complete)
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +413,7 @@ def _choice_value(pair_vectors, index, length):
 
 def _check_tensor_inner_identity(seed):
     rng = _rng(seed, 11)
-    worst = 0.0
+    identity = []
     for case in range(50):
         n = case % 7
         xs = [socks.PairVector(i, _dyadic(rng)) for i in range(n)]
@@ -403,17 +431,15 @@ def _check_tensor_inner_identity(seed):
         factored = np.prod(
             [socks.pair_inner(x, y) for x, y in zip(xs, ys)]
         ) if n else 1.0 + 0.0j
-        for other in (brute, closed, factored):
-            worst = max(worst, abs(got - other))
-    unit_worst = 0.0
-    for n in range(9):
-        u = socks.generator_tensor(n)
-        unit_worst = max(unit_worst, abs(socks.tensor_inner(u, u) - 1.0))
+        identity += [abs(got - other) for other in (brute, closed, factored)]
+    units = map(socks.generator_tensor, range(9))
+    identity, norm = _worst(identity), _worst([abs(socks.tensor_inner(u, u) - 1.0) for u in units])
     detail = (
-        f"50 tensor pairs with pair counts 0..6, identity residual {worst:.3e}; "
-        f"unit generators 0..8, norm residual {unit_worst:.3e}"
+        f"50 tensor pairs with pair counts 0..6, identity residual {identity:.3e}; "
+        f"unit generators 0..8, norm residual {norm:.3e}"
     )
-    return CheckResult("tensor-inner-identity", worst <= 1e-12 and unit_worst <= 1e-12, detail)
+    return _result("tensor-inner-identity", detail,
+                   {"identity residual": identity, "norm residual": norm})
 
 
 def _check_tensor_antisymmetry(seed):
@@ -436,7 +462,7 @@ def _check_tensor_antisymmetry(seed):
                     if lhs != (-1.0) ** swaps * rhs:
                         failed += 1
     detail = f"{cases} choice-function pairs over 0..5 pair tensors, {failed} sign violations"
-    return CheckResult("tensor-antisymmetry", failed == 0, detail)
+    return _result("tensor-antisymmetry", detail, {}, ok=failed == 0)
 
 
 def _check_flip_support(seed):
@@ -459,10 +485,8 @@ def _check_flip_support(seed):
             cases += 1
             if moved != (k in support):
                 failed += 1
-    detail = (
-        f"{len(vectors)} vectors x {m + 2} single flips, {failed} support mismatches"
-    )
-    return CheckResult("flip-support", failed == 0, detail)
+    detail = f"{len(vectors)} vectors x {m + 2} single flips, {failed} support mismatches"
+    return _result("flip-support", detail, {}, ok=failed == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -473,8 +497,7 @@ def _seeded_fh_operator(rng, symmetric):
     m = int(rng.integers(3, 13))
     atoms = [f"a{i:02d}" for i in range(m)]
     size = int(rng.integers(0, m - 1))
-    chosen = sorted(rng.choice(m, size=size, replace=False))
-    support = tuple(atoms[i] for i in chosen)
+    support = _subset(rng, atoms, size)
     g = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
     if symmetric:
         block = (g + g.conj().T) / 2.0
@@ -504,13 +527,13 @@ def _check_fh_roundtrip(seed):
         if not same:
             failed += 1
     detail = f"50 operators over windows of 3..12 atoms, {failed} canonical-form mismatches"
-    return CheckResult("fh-roundtrip", failed == 0, detail)
+    return _result("fh-roundtrip", detail, {}, ok=failed == 0)
 
 
 def _check_zero_sum_criterion(seed):
     rng = _rng(seed, 15)
-    cases = 0
     failed = 0
+    accepted = []  # the worst probe sum of each operator the criterion accepts
     for case in range(50):
         size = int(rng.integers(2, 7))
         support = tuple(f"a{i:02d}" for i in range(size))
@@ -523,42 +546,30 @@ def _check_zero_sum_criterion(seed):
             block[0, int(rng.integers(0, size))] += float(rng.uniform(1e-4, 1.0))
         op = fhlogic.FHOperator(support, block, tail)
         window = list(support) + [f"z{i}" for i in range(3)]
-        preserved = True
-        for a in window:
-            for b in window:
-                if a == b:
-                    continue
-                image = fhlogic.fh_apply(
-                    op, fhlogic.FiniteSupportVector({a: 1.0, b: -1.0})
-                )
-                total = sum(v for _, v in image.entries)
-                scale = max(
-                    1.0, abs(op.tail), float(np.max(np.abs(op.block), initial=0.0))
-                )
-                if abs(total) > 1e-9 * scale:
-                    preserved = False
-        cases += 1
-        if preserved != fhlogic.zero_sum_compatible(op):
-            failed += 1
-    detail = f"{cases} operators, column-sum criterion vs exhaustive probes, {failed} disagreements"
-    return CheckResult("zero-sum-criterion", failed == 0, detail)
+        images = [fhlogic.fh_apply(op, fhlogic.FiniteSupportVector({a: 1.0, b: -1.0}))
+                  for a in window for b in window if a != b]
+        sums = [abs(sum(v for _, v in image.entries)) for image in images]
+        probe = _worst(sums) / max(1.0, abs(op.tail), float(np.max(np.abs(op.block), initial=0.0)))
+        compatible = fhlogic.zero_sum_compatible(op)
+        failed += _within("zero-sum-criterion", "probe sum", probe) != compatible
+        accepted.append(probe if compatible else 0.0)
+    detail = f"50 operators, column-sum criterion vs exhaustive probes, {failed} disagreements"
+    return _result("zero-sum-criterion", detail, {"probe sum": _worst(accepted)}, ok=failed == 0)
 
 
 def _check_functional_recovery(seed):
     rng = _rng(seed, 16)
     failed = 0
-    worst = 0.0
+    residuals = []
     for _ in range(30):
         m = int(rng.integers(7, 11))
         window = [f"p{i:02d}" for i in range(m)]
-        size = int(rng.integers(0, 4))
-        chosen = sorted(rng.choice(m, size=size, replace=False))
         weights = {}
-        for i in chosen:
+        for atom in _subset(rng, window, int(rng.integers(0, 4))):
             value = 0j
             while value == 0:
                 value = _dyadic(rng)
-            weights[window[i]] = value
+            weights[atom] = value
         samples = {}
         for i in range(m):
             for j in range(i + 1, m):
@@ -572,13 +583,13 @@ def _check_functional_recovery(seed):
         if support != tuple(sorted(weights)):
             failed += 1
             continue
-        for atom in support:
-            worst = max(worst, abs(got[atom] - weights[atom]))
+        residuals += [abs(got[atom] - weights[atom]) for atom in support]
+    worst = _worst(residuals)
     detail = (
         f"30 probe tables over 7..10 atoms, {failed} support mismatches, "
         f"worst weight residual {worst:.3e}"
     )
-    return CheckResult("functional-recovery", failed == 0 and worst <= 1e-9, detail)
+    return _result("functional-recovery", detail, {"weight residual": worst}, ok=failed == 0)
 
 
 def _random_subspace(rng, atoms):
@@ -586,12 +597,7 @@ def _random_subspace(rng, atoms):
     vectors = []
     for _ in range(count):
         size = int(rng.integers(1, len(atoms) + 1))
-        chosen = sorted(rng.choice(len(atoms), size=size, replace=False))
-        entries = {
-            atoms[i]: complex(int(rng.integers(-3, 4)), int(rng.integers(-3, 4)))
-            for i in chosen
-        }
-        vectors.append(fhlogic.FiniteSupportVector(entries))
+        vectors.append(_integer_vector(rng, _subset(rng, atoms, size)))
     if rng.random() < 0.4:
         return fhlogic.subspace(vectors, exclude=list(atoms))
     return fhlogic.subspace(vectors)
@@ -608,7 +614,7 @@ def _check_modular_law(seed):
         if not fhlogic.modularity_check(x, y, z):
             failed += 1
     detail = f"200 subspace triples over a 6-atom window, {failed} shearing failures"
-    return CheckResult("modular-law", failed == 0, detail)
+    return _result("modular-law", detail, {}, ok=failed == 0)
 
 
 def _check_dimension_state_additivity(seed):
@@ -626,13 +632,7 @@ def _check_dimension_state_additivity(seed):
         members = []
         for gi, group in enumerate(groups):
             count = int(rng.integers(0, len(group) + 1))
-            vectors = []
-            for _ in range(count):
-                entries = {
-                    a: complex(int(rng.integers(-3, 4)), int(rng.integers(-3, 4)))
-                    for a in group
-                }
-                vectors.append(fhlogic.FiniteSupportVector(entries))
+            vectors = [_integer_vector(rng, group) for _ in range(count)]
             if gi == cof_index:
                 members.append(fhlogic.subspace(vectors, exclude=atoms))
             else:
@@ -659,7 +659,7 @@ def _check_dimension_state_additivity(seed):
         f"{families} orthogonal families of up to 4 members, {failed} additivity failures; "
         f"cofinite pairs never orthogonal {'yes' if cof_pairs_ok else 'NO'}"
     )
-    return CheckResult("dimension-state-additivity", failed == 0 and cof_pairs_ok, detail)
+    return _result("dimension-state-additivity", detail, {}, ok=failed == 0 and cof_pairs_ok)
 
 
 def _check_density_refutation(seed):
@@ -669,8 +669,7 @@ def _check_density_refutation(seed):
         m = 8
         atoms = [f"r{i:02d}" for i in range(m)]
         size = int(rng.integers(0, 5))
-        chosen = sorted(rng.choice(m, size=size, replace=False))
-        support = tuple(atoms[i] for i in chosen)
+        support = _subset(rng, atoms, size)
         block = _hermitian(rng, size)
         tail = 0.0 if case % 2 == 0 else float(rng.uniform(0.1, 1.0))
         density = fhlogic.canonicalize(
@@ -691,7 +690,7 @@ def _check_density_refutation(seed):
         if not ok:
             failed += 1
     detail = f"20 density candidates, {failed} invalid witnesses or verdicts"
-    return CheckResult("density-refutation", failed == 0, detail)
+    return _result("density-refutation", detail, {}, ok=failed == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -747,7 +746,7 @@ def _check_persistence_roundtrip(seed):
         if text != again:
             failed += 1
     detail = f"{cases} values across every kind, {failed} round trips changed bytes"
-    return CheckResult("persistence-roundtrip", failed == 0, detail)
+    return _result("persistence-roundtrip", detail, {}, ok=failed == 0)
 
 
 # ---------------------------------------------------------------------------

@@ -165,6 +165,17 @@ def test_restrict_to_invariant_subspace():
     assert small.ambient_dim == 3
 
 
+def test_restrict_checks_the_span_width_before_taking_an_empty_span():
+    system = diag_system(1.0, 2.0, 3.0)
+    # a zero span of the wrong width is rejected like a nonzero one, and so is
+    # a width-0 one
+    for span in (np.zeros((1, 5)), np.ones((1, 5)), []):
+        with pytest.raises(ValidationError, match="span vectors have the wrong dimension"):
+            restrict(system, span)
+    empty = restrict(system, np.zeros((1, 3)))
+    assert (empty.count, empty.ambient_dim) == (0, 3)
+
+
 def test_restrict_flags_non_invariant_span():
     coupled = diagonalize(np.array([[0.0, 0.0, 1.0], [0.0, 5.0, 0.0], [1.0, 0.0, 0.0]]))
     with pytest.raises(NotInvariant) as info:

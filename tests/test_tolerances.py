@@ -5,8 +5,10 @@ Any float literal below 1e-5 in a library module is taken for an inline
 tolerance, and so is a literal number of digits to round to and a
 literal multiple of a table entry; any comparison with a tolerance on
 either side is taken for a hand-written gate, which may let NaN through.
-`verify` is exempt: its pass thresholds are the independent reference
-the library is checked against.  Outside `numeric`, no public function
+`verify` keeps its own pass bounds, the independent reference the
+library is checked against, in one table, `verify.BOUNDS`: there a float
+literal below 1e-5 outside that table fails, and its `_result` fails a
+check on an inf or NaN worst residual (exit 2).  Outside `numeric`, no public function
 takes a tolerance but `canonicalize`, whose two values (0.0 and
 EQUIVARIANT) are both in use.
 """
@@ -35,6 +37,14 @@ def small_float_literals(path):
         and isinstance(node.value, float)
         and 0.0 < abs(node.value) < 1e-5
     ]
+
+
+def assignment_lines(path, name):
+    """The lines of the module-level assignment to `name` in `path`."""
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == [name]:
+            return range(node.lineno, node.end_lineno + 1)
+    return range(0)
 
 
 def is_tolerance(node):
@@ -126,6 +136,15 @@ def test_the_cutoff_scan_knows_rounding_digits_and_scaled_entries():
         "numeric.DOMAIN * numeric.norm(x)", "numeric.ZERO_SUM * scale", "10 * numeric.norm(x)",
     ]
     assert inline_cutoffs("\n".join(kept)) == []
+
+
+def test_verify_keeps_its_small_literals_in_bounds():
+    path = PACKAGE / "verify.py"
+    bounds = assignment_lines(path, "BOUNDS")
+    literals = small_float_literals(path)
+    assert bounds and literals, "verify.BOUNDS holds the pass bounds below 1e-5"
+    outside = [(line, value) for line, value in literals if line not in bounds]
+    assert outside == [], f"move these into verify.BOUNDS: {outside}"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from finobs import verify
+from finobs import finitary, verify
 
 # the names the checks report, in suite order (bench/test_bench.py pins the
 # same list to a real run)
@@ -137,3 +137,51 @@ def test_the_expm_oracle_matches_scipy(norm):
         x = -1j * (m + m.conj().T)
         x *= norm / np.linalg.norm(x, 2)
         assert np.max(np.abs(verify._expm(x) - scipy.linalg.expm(x))) < 1e-12
+
+
+def test_a_nan_reconstruction_fails_eigen_reconstruction(monkeypatch):
+    # a running max(worst, x) drops the NaN, since max(0.0, nan) is 0.0
+    def nan_matrix(self):
+        return np.full((self.ambient_dim, self.ambient_dim), np.nan + 0j)
+
+    monkeypatch.setattr(finitary.EigenSystem, "matrix", nan_matrix)
+    result = verify._check_eigen_reconstruction(42)
+    assert not result.passed
+    assert result.detail.endswith("worst relative residual nan")
+
+
+@pytest.mark.parametrize("at", [0, 2, 4])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_worst_keeps_a_non_finite_residual_in_any_position(bad, at):
+    residuals = [1e-3, 2.0, 0.5, 1e-9, 3.0]
+    residuals[at] = bad
+    assert np.array_equal(verify._worst(residuals), bad, equal_nan=True)
+
+
+def test_worst_of_finite_residuals_is_their_largest_and_of_none_zero():
+    assert verify._worst([1e-3, 3.0, 0.5]) == 3.0
+    assert verify._worst([]) == 0.0
+
+
+def test_result_passes_each_residual_within_its_bound_and_fails_nan():
+    bounds = verify.BOUNDS["unitary-evolution"]
+    assert verify._result("unitary-evolution", "d", dict(bounds)) == verify.CheckResult(
+        "unitary-evolution", True, "d")
+    assert not verify._result("unitary-evolution", "d", dict(bounds), ok=False).passed
+    for label in bounds:
+        for bad in (np.nan, np.inf, 2 * bounds[label]):
+            assert not verify._result("unitary-evolution", "d", {**bounds, label: bad}).passed
+
+
+def test_result_needs_one_residual_for_each_bound_of_its_check():
+    bounds = verify.BOUNDS["unitary-evolution"]
+    for worst in [{}, {"norm drift": 0.0}, {**bounds, "other": 0.0}, {"a": 0, "b": 0, "c": 0}]:
+        with pytest.raises(ValueError):
+            verify._result("unitary-evolution", "d", worst)
+    with pytest.raises(ValueError):
+        verify._result("flip-support", "d", {"norm drift": 0.0})
+    assert verify._result("flip-support", "d", {}).passed
+
+
+def test_bounds_belong_to_reported_checks():
+    assert set(verify.BOUNDS) <= set(REPORT_NAMES)
