@@ -67,7 +67,7 @@ class LabelSet:
                 ranked = sorted(self.values)
             except TypeError:
                 raise UnorderedLabels("labels do not support a total order") from None
-            if any(ranked[i] >= ranked[i + 1] for i in range(len(ranked) - 1)):
+            if any(not ranked[i] < ranked[i + 1] for i in range(len(ranked) - 1)):
                 raise UnorderedLabels("labels are not strictly ordered")
 
 

@@ -10,6 +10,7 @@ u_0, u_1, ..., u_M.
 """
 
 import cmath
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,13 @@ MAX_PAIRS_TENSOR = 16
 MAX_PAIRS_FOCK = 32
 
 
+def _integer(value, what):
+    """`value` as an int; a bool, float, str or other non-integer fails closed."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class PairVector:
     """Element of the zero-sum line over pair `pair`; value at the a sock."""
@@ -29,7 +37,7 @@ class PairVector:
     a_value: complex
 
     def __post_init__(self):
-        if self.pair < 0:
+        if _integer(self.pair, "pair index") < 0:
             raise ValidationError("pair index must be nonnegative")
         object.__setattr__(self, "a_value", complex(self.a_value))
         if not cmath.isfinite(self.a_value):
@@ -55,8 +63,8 @@ class ChoiceFunction:
     bits: tuple
 
     def __post_init__(self):
-        bits = tuple(int(b) for b in self.bits)
-        if len(bits) != self.length or any(b not in (0, 1) for b in bits):
+        bits = tuple(_integer(b, "bit") for b in self.bits)
+        if len(bits) != _integer(self.length, "length") or any(b not in (0, 1) for b in bits):
             raise ValidationError("bits must be 0/1 of the stated length")
         object.__setattr__(self, "bits", bits)
 
@@ -70,20 +78,20 @@ class ChoiceFunction:
 
     @classmethod
     def from_index(cls, length, index):
-        if not 0 <= index < (1 << length):
+        if not 0 <= _integer(index, "index") < (1 << _integer(length, "length")):
             raise ValidationError(f"index {index} out of range for length {length}")
         bits = tuple((index >> (length - 1 - i)) & 1 for i in range(length))
         return cls(length, bits)
 
 
+@functools.cache
 def alternation_signs(n):
     """Signs of the 2^N choice functions in index order: -1 at an odd count of b socks."""
-    v = np.arange(1 << n)
-    out = np.zeros(1 << n, dtype=np.int64)
-    while v.any():
-        out += v & 1
-        v = v >> 1
-    return 1.0 - 2.0 * (out & 1)
+    signs = np.ones(1 << n)
+    for k in range(n):  # setting bit k adds one b sock
+        signs[1 << k : 2 << k] = -signs[: 1 << k]
+    signs.flags.writeable = False  # one table per N, shared: copy it before writing
+    return signs
 
 
 @dataclass(eq=False)
@@ -99,21 +107,25 @@ class SignedTensor:
     table: np.ndarray
 
     def __post_init__(self):
-        if not 0 <= self.length <= MAX_PAIRS_TENSOR:
+        if not 0 <= _integer(self.length, "tensor length") <= MAX_PAIRS_TENSOR:
             raise ValidationError(f"tensor length must be in 0..{MAX_PAIRS_TENSOR}")
         table = np.asarray(self.table, dtype=complex).reshape(-1)
         if len(table) != (1 << self.length):
             raise ValidationError(
                 f"table needs {1 << self.length} entries, got {len(table)}"
             )
-        if not np.isfinite(table).all():
-            raise ValidationError("table entries must be finite")
-        signs = alternation_signs(self.length)
-        # over 2**k, k > 0 where a magnitude could overflow: exact, so in range the bits agree
-        c = 2.0 ** -max(numeric.scale_exponent(table), 0)
-        scaled = table * c
-        mismatch = scaled - signs * scaled[0]
-        if not numeric.within(mismatch, numeric.ALTERNATION * max(np.max(np.abs(scaled)), c)):
+        with np.errstate(over="ignore"):  # |z| may overflow though both parts are finite
+            peak = np.abs(table).max()
+        scaled, c = table, 1.0
+        if not peak < 2.0**479:  # else every entry is finite and scale_exponent(table) is 0
+            if not np.isfinite(table).all():
+                raise ValidationError("table entries must be finite")
+            # over 2**k, k > 0 where a magnitude could overflow: exact, so in range the bits agree
+            c = 2.0 ** -max(numeric.scale_exponent(table), 0)
+            scaled = table * c
+            peak = np.abs(scaled).max()
+        mismatch = np.abs(scaled - alternation_signs(self.length) * scaled[0]).max()
+        if not numeric.within(mismatch, numeric.ALTERNATION * max(peak, c)):
             raise ValidationError("table entries violate the sign alternation law")
         object.__setattr__(self, "table", table)
 
@@ -135,7 +147,7 @@ def pair_tensor(pair_vectors):
     if n > MAX_PAIRS_TENSOR:
         raise ValidationError(f"at most {MAX_PAIRS_TENSOR} pairs supported")
     with np.errstate(over="ignore", invalid="ignore"):  # SignedTensor rejects an inf or NaN entry
-        table = (np.prod([p.a_value for p in vectors]) if n else 1.0) * alternation_signs(n)
+        table = np.multiply.reduce([p.a_value for p in vectors]) * alternation_signs(n)
     return SignedTensor(n, table)
 
 
@@ -173,7 +185,7 @@ class TruncatedFockVector:
 
 def fock_basis_vector(n, max_pairs):
     """The generator u_n inside a truncation with components 0..max_pairs."""
-    if not 0 <= n <= max_pairs:
+    if not 0 <= _integer(n, "generator index") <= _integer(max_pairs, "max_pairs"):
         raise ValidationError(f"generator index {n} outside 0..{max_pairs}")
     coeffs = np.zeros(max_pairs + 1, dtype=complex)
     coeffs[n] = 1.0
@@ -182,7 +194,7 @@ def fock_basis_vector(n, max_pairs):
 
 def generator_tensor(n):
     """u_n in tensor form: the product of pair vectors with value 1/sqrt2."""
-    return pair_tensor([PairVector(i, 1.0 / np.sqrt(2.0)) for i in range(n)])
+    return pair_tensor([PairVector(i, 1.0 / np.sqrt(2.0)) for i in range(_integer(n, "n"))])
 
 
 def apply_diagonal(diag, v):
@@ -202,7 +214,7 @@ class FlipAction:
     pairs: frozenset
 
     def __post_init__(self):
-        pairs = frozenset(int(p) for p in self.pairs)
+        pairs = frozenset(_integer(p, "pair index") for p in self.pairs)
         if any(p < 0 for p in pairs):
             raise ValidationError("pair indices must be nonnegative")
         object.__setattr__(self, "pairs", pairs)

@@ -114,6 +114,23 @@ def test_pref_le_needs_ordered_labels():
         pref_le(f, f)
 
 
+def test_ordered_labels_reject_nan():
+    # NaN is not below or above any number, so a sorted run containing it
+    # has an adjacent pair neither of which is less than the other
+    nan = float("nan")
+    with pytest.raises(UnorderedLabels, match="not strictly ordered"):
+        LabelSet((1.0, nan, 0.5), ordered=True)
+    with pytest.raises(UnorderedLabels, match="not strictly ordered"):
+        LabelSet((nan, 0.0), ordered=True)
+
+
+def test_ordered_labels_reject_a_partial_order():
+    # frozensets sort under inclusion, which leaves disjoint sets unordered
+    with pytest.raises(UnorderedLabels, match="not strictly ordered"):
+        LabelSet((frozenset({1}), frozenset({2})), ordered=True)
+    assert LabelSet((frozenset(), frozenset({1})), ordered=True).ordered
+
+
 def test_pref_le_is_the_monotone_restriction():
     f = lab({"x": 1, "y": 0}, labels=Y3)
     g = lab({"x": 0, "y": 2}, labels=Y3)

@@ -19,6 +19,7 @@ from finobs.socks import (
     PairVector,
     SignedTensor,
     TruncatedFockVector,
+    alternation_signs,
     apply_diagonal,
     flip,
     fock_basis_vector,
@@ -87,6 +88,76 @@ def test_huge_tensors_need_no_numpy_warnings():
         assert SignedTensor(2, [z, -z, -z, z]).value(ChoiceFunction(2, (1, 1))) == z
         with pytest.raises(ValidationError, match="sign alternation law"):
             SignedTensor(1, [z, z])
+
+
+def test_alternation_signs_are_popcount_parity_and_read_only():
+    for n in range(17):
+        parity = np.array([bin(i).count("1") % 2 for i in range(1 << n)])
+        expected = np.where(parity == 1, -1.0, 1.0)
+        signs = alternation_signs(n)
+        assert signs.dtype == np.float64
+        assert signs.tobytes() == expected.tobytes()
+        assert not signs.flags.writeable
+        with pytest.raises(ValueError):
+            signs[0] = 2.0
+        assert alternation_signs(n) is signs
+    # a tensor built from the shared table owns its own entries
+    tensor = pair_tensor([PairVector(0, 1.0), PairVector(1, 1.0)])
+    assert not np.shares_memory(tensor.table, alternation_signs(2))
+
+
+@pytest.mark.parametrize("exponent", [478, 479, 480])
+@pytest.mark.parametrize("phase", [1.0, 1j, (1.0 + 1.0j) / np.sqrt(2.0)])
+def test_alternation_verdicts_around_the_scaling_threshold(exponent, phase):
+    # below 2**479 the table is checked unscaled, at and above it scaled;
+    # the verdicts are those of always scaling, a relative violation of
+    # 1e-12 included, which the rounding of the mismatch puts just outside
+    a = 2.0**exponent * phase
+    for violation, holds in ((0.0, True), (9.9e-13, True), (1e-12, False)):
+        table = [a, -a, -a, a * (1.0 + violation)]
+        if holds:
+            assert SignedTensor(2, table).table.tolist() == table
+        else:
+            with pytest.raises(ValidationError, match="sign alternation law"):
+                SignedTensor(2, table)
+
+
+# each call passes a bool, float or str where an integer belongs
+_NOT_INTEGERS = {
+    "PairVector('0', 1.0)": lambda: PairVector("0", 1.0),
+    "PairVector(0.0, 1.0)": lambda: PairVector(0.0, 1.0),
+    "PairVector(True, 1.0)": lambda: PairVector(True, 1.0),
+    "ChoiceFunction(2, (0.7, 1.2))": lambda: ChoiceFunction(2, (0.7, 1.2)),
+    "ChoiceFunction(2, (True, False))": lambda: ChoiceFunction(2, (True, False)),
+    "ChoiceFunction(2.0, (0, 1))": lambda: ChoiceFunction(2.0, (0, 1)),
+    "ChoiceFunction.from_index(2, 1.0)": lambda: ChoiceFunction.from_index(2, 1.0),
+    "ChoiceFunction.from_index(2.0, 1)": lambda: ChoiceFunction.from_index(2.0, 1),
+    "SignedTensor(True, [1.0, -1.0])": lambda: SignedTensor(True, [1.0, -1.0]),
+    "SignedTensor(2.0, [1.0, -1.0, -1.0, 1.0])": lambda: SignedTensor(2.0, [1.0, -1.0, -1.0, 1.0]),
+    "SignedTensor('1', [1.0, -1.0])": lambda: SignedTensor("1", [1.0, -1.0]),
+    "FlipAction({0.5, 2.9})": lambda: FlipAction({0.5, 2.9}),
+    "FlipAction({True})": lambda: FlipAction({True}),
+    "fock_basis_vector(1.5, 3)": lambda: fock_basis_vector(1.5, 3),
+    "fock_basis_vector(1, 3.0)": lambda: fock_basis_vector(1, 3.0),
+    "generator_tensor(True)": lambda: generator_tensor(True),
+    "generator_tensor(2.0)": lambda: generator_tensor(2.0),
+}
+
+
+@pytest.mark.parametrize("call", sorted(_NOT_INTEGERS))
+def test_integer_arguments_fail_closed(call):
+    with pytest.raises(ValidationError, match="must be an integer"):
+        _NOT_INTEGERS[call]()
+
+
+def test_numpy_integer_arguments_are_accepted():
+    assert PairVector(np.int64(1), 1.0).pair == 1
+    assert ChoiceFunction(np.int32(2), (np.int64(0), np.uint8(1))).bits == (0, 1)
+    assert ChoiceFunction.from_index(np.int64(3), np.int64(5)).bits == (1, 0, 1)
+    assert SignedTensor(np.int64(1), [1.0, -1.0]).value(ChoiceFunction(1, (1,))) == -1.0
+    assert FlipAction({np.int64(2)}).pairs == frozenset({2})
+    assert fock_basis_vector(np.int64(1), np.int64(2)).coeffs.tolist() == [0, 1, 0]
+    assert generator_tensor(np.int64(2)).table.shape == (4,)
 
 
 def test_pair_tensor_needs_consecutive_pairs():

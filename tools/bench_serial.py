@@ -2,6 +2,7 @@
 
     python3 tools/bench_serial.py serial --parent P --change C [-o BENCH_serial.json]
     python3 tools/bench_serial.py checks --parent P --change C [-o BENCH_verify.json]
+    python3 tools/bench_serial.py setup --parent P --change C [-o BENCH_serial.json]
     python3 tools/bench_serial.py pairs --parent P --change C
         --workload W --seeds S1,S2,... [-o BENCH_serial.json]
 
@@ -12,8 +13,15 @@ which goes first), and each child records the calls of a pass, makes one
 warm-up run and then REPEATS timed runs.  `checks` takes the CPU time of
 each `verify` check at seed CHECK_SEED in process, in children run the
 same way, each making one warm-up run and CHECK_REPEATS timed runs of
-every check.  `pairs` runs `bench/run.py --workload W --seconds 25
---trace 0` in each checkout per seed, alternating which goes first.
+every check.  `setup` times api_batch's set-up layer by layer, in
+SETUP_ROUNDS children per checkout run the same way: the import of the
+bench module, each phase builder that `api_batch.build` calls (at seed
+SEED, full sizes), the `socks.pair_tensor` calls inside the socks phase,
+and the warm-up pass.  The bench's traced child records only the timed
+pass, so this is the layer view of `setup_s`.  `pairs` runs
+`bench/run.py --workload W --seconds 25 --trace 0` in each checkout per
+seed, alternating which goes first, and gives each end-to-end metric a
+verdict: `gain_shown` and `within_bound` (see `pairs_summary`).
 Each merges its section into the output file.
 """
 
@@ -30,6 +38,7 @@ from pathlib import Path
 THREADS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 SEED, ROUNDS, REPEATS = 1, 4, 10
 CHECK_SEED, CHECK_REPEATS = 42, 5
+SETUP_ROUNDS = 10
 
 
 def child():
@@ -81,6 +90,36 @@ def checks_child():
     return out
 
 
+def setup_child():
+    """In a checkout's environment: seconds of each layer of api_batch's set-up."""
+    t0 = time.perf_counter()
+    import api_batch
+    from finobs import socks
+
+    spent = {"import": time.perf_counter() - t0}
+
+    def timed(key, fn):
+        def call(*args):
+            t0 = time.perf_counter()
+            try:
+                return fn(*args)
+            finally:
+                spent[key] = spent.get(key, 0.0) + time.perf_counter() - t0
+        return call
+
+    # the phase builders are the module functions build calls by name
+    for name in api_batch.build.__code__.co_names:
+        if name.endswith("_ops"):
+            setattr(api_batch, name, timed(f"build{name.removesuffix('_ops')}",
+                                           getattr(api_batch, name)))
+    socks.pair_tensor = timed("build_socks/pair_tensor", socks.pair_tensor)
+    ops = api_batch.build(SEED, api_batch.SIZES["full"])
+    t0 = time.perf_counter()
+    api_batch.run_pass(ops)
+    spent["warmup_pass"] = time.perf_counter() - t0
+    return spent
+
+
 def tree_env(tree):
     """Environment that runs checkout `tree` from its own `src` and `bench`
     on one BLAS thread, with the tools importable by a child."""
@@ -101,11 +140,11 @@ def summary(values):
             "min_ms": round(min(values) * 1e3, 3), "samples": len(values)}
 
 
-def alternating_children(args, func="child"):
-    """ROUNDS children per checkout, alternating which goes first."""
+def alternating_children(args, func="child", rounds=ROUNDS):
+    """`rounds` children per checkout, alternating which goes first."""
     sides = {"parent": args.parent, "change": args.change}
     got = {side: [] for side in sides}
-    for r in range(ROUNDS):
+    for r in range(rounds):
         order = list(sides) if r % 2 == 0 else list(sides)[::-1]
         for side in order:
             got[side].append(run_child(sides[side], func))
@@ -130,6 +169,21 @@ def checks_section(args):
             "repeats_per_child": CHECK_REPEATS, "warmup_runs_per_child": 1, "checks": per_check}
 
 
+def setup_section(args):
+    """Per layer and side: median and minimum over the children (one set-up
+    each), the pairs of children the change wins, and its median over the parent's."""
+    got = alternating_children(args, "setup_child", SETUP_ROUNDS)
+    layers = {}
+    for name in got["parent"][0]:
+        times = {side: [child[name] for child in children] for side, children in got.items()}
+        row = {side: summary(t) for side, t in times.items()}
+        row["change_wins"] = sum(c < p for p, c in zip(times["parent"], times["change"]))
+        row["change_over_parent"] = round(row["change"]["median_ms"] / row["parent"]["median_ms"], 3)
+        layers[name] = row
+    return {"seed": SEED, "sizes": "full", "clock": "perf_counter",
+            "children_per_side": SETUP_ROUNDS, "layers": layers}
+
+
 def serial_section(args):
     got = alternating_children(args)
     out = {}
@@ -148,23 +202,32 @@ def serial_section(args):
             "warmup_runs_per_child": 1, "numpy": numpy_version, **out}
 
 
-def pairs_summary(rows):
-    """Per end-to-end metric: each side's median and quartiles, and the
-    pairs the change wins (lower is better; ties count for neither)."""
+def pairs_summary(rows, bounds):
+    """Per end-to-end metric: each side's median and quartiles, the pairs
+    the change wins (lower is better; ties count for neither) and two verdicts.
+    `gain_shown`: the change wins at least 9 of every 10 pairs, and the
+    parent's median exceeds the change's by more than the parent's quartile
+    spread.  `within_bound`: the change's median is at most the parent's
+    times 1 + the metric's `bound` (`bounds`, from BENCHMARK.json)."""
     out = {}
     for metric in rows[0]["parent"]["metrics"]:
         sides = {side: [row[side]["metrics"][metric]["value"] for row in rows]
                  for side in ("parent", "change")}
-        out[metric] = {side: {"median": statistics.median(v),
-                              "quartiles": statistics.quantiles(v, n=4)}
-                       for side, v in sides.items()}
-        out[metric]["change_wins"] = sum(c < p for p, c in zip(sides["parent"], sides["change"]))
-        out[metric]["pairs"] = len(rows)
+        row = {side: {"median": statistics.median(v), "quartiles": statistics.quantiles(v, n=4)}
+               for side, v in sides.items()}
+        wins = sum(c < p for p, c in zip(sides["parent"], sides["change"]))
+        q1, _, q3 = row["parent"]["quartiles"]
+        parent, change = row["parent"]["median"], row["change"]["median"]
+        out[metric] = dict(row, change_wins=wins, pairs=len(rows),
+                           gain_shown=10 * wins >= 9 * len(rows) and parent - change > q3 - q1,
+                           within_bound=change <= parent * (1.0 + bounds[metric]))
     out["failed"] = {side: sum(row[side]["failed"] for row in rows) for side in ("parent", "change")}
     return out
 
 
 def pairs_section(args):
+    spec = json.loads((Path(args.change) / "BENCHMARK.json").read_text())
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     sides = {"parent": args.parent, "change": args.change}
     rows = []
     for i, seed in enumerate(int(s) for s in args.seeds.split(",")):
@@ -178,12 +241,12 @@ def pairs_section(args):
             row[side] = json.loads(out.splitlines()[-1])
         rows.append(row)
         print(json.dumps(row), flush=True)
-    return {"summary": pairs_summary(rows), "runs": rows}
+    return {"summary": pairs_summary(rows, bounds), "runs": rows}
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("mode", choices=("serial", "checks", "pairs"))
+    parser.add_argument("mode", choices=("serial", "checks", "setup", "pairs"))
     parser.add_argument("--parent", required=True)
     parser.add_argument("--change", required=True)
     parser.add_argument("--workload", default="api_batch")
@@ -203,6 +266,8 @@ def main(argv=None):
         doc["serial"] = serial_section(args)
     elif args.mode == "checks":
         doc["checks"] = checks_section(args)
+    elif args.mode == "setup":
+        doc["setup"] = setup_section(args)
     else:
         doc.setdefault("pairs", {})[args.workload] = pairs_section(args)
     path.write_text(json.dumps(doc, indent=1) + "\n")
