@@ -7,7 +7,7 @@ diagonalization, functional calculus) is derived from that data.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, groupby
 
 import numpy as np
 
@@ -78,7 +78,7 @@ class EigenSystem:
 
     def norm(self):
         """Operator norm: largest eigenvalue magnitude."""
-        return float(np.max(np.abs(self.values), initial=0.0))
+        return float(np.abs(self.values).max(initial=0.0))
 
     def clusters(self):
         """(start, stop) runs of near-equal values, gaps within numeric.tol_dedup of the norm,
@@ -228,29 +228,37 @@ def restrict(system, span_vectors):
 
 
 def _domains_match(a, b):
-    return a.count == b.count and all(in_domain(b, q) for q in a.vectors)
+    """Same count, and each row of a within DOMAIN |row| of b's span, as `in_domain` tests."""
+    rows = a.vectors
+    resid = numeric.norm(rows - (rows @ b.vectors.conj().T) @ b.vectors, axis=1).tolist()
+    tols = (numeric.DOMAIN * numeric.norm(rows, axis=1)).tolist()
+    return a.count == b.count and all(map(numeric.within, resid, tols))
 
 
-def commeasurable(systems):
-    """True when all operators share one domain and commute on it."""
-    systems = list(systems)
+def _commeasurable_matrices(systems):
+    """Each operator's matrix() if the listed operators are commeasurable, else None."""
     if not systems:
         raise ValidationError("need at least one operator")
     d = systems[0].ambient_dim
     if any(s.ambient_dim != d for s in systems):
         raise ValidationError("operators have different ambient dimensions")
     if not all(_domains_match(a, b) for a, b in combinations(systems, 2)):
-        return False
+        return None
     basis = systems[0].vectors
-    mats = [s.matrix() for s in systems]
+    dense = [s.matrix() for s in systems]
     # over 2**k, k > 0 where products could overflow: exact, so in range the bits agree
-    scales = [2.0 ** -max(numeric.scale_exponent(m), 0) for m in mats]
-    mats = [m * c for m, c in zip(mats, scales)]
+    scales = [2.0 ** -max(numeric.scale_exponent(m), 0) for m in dense]
+    mats = [m * c for m, c in zip(dense, scales)]
     for (a, ma, ca), (b, mb, cb) in combinations(zip(systems, mats, scales), 2):
         residuals = numeric.norm((ma @ mb - mb @ ma) @ basis.T, axis=0)
         if not numeric.within(residuals, numeric.tol_comm(a.norm() * ca, b.norm() * cb, ca * cb)):
-            return False
-    return True
+            return None
+    return dense
+
+
+def commeasurable(systems):
+    """True when all operators share one domain and commute on it."""
+    return _commeasurable_matrices(list(systems)) is not None
 
 
 def joint_eigensystem(systems):
@@ -261,23 +269,31 @@ def joint_eigensystem(systems):
     eigenvalues are clustered at numeric.tol_dedup of the value scale.
     """
     systems = list(systems)
-    if not commeasurable(systems):
+    mats = _commeasurable_matrices(systems)
+    if mats is None:
         raise NotCommeasurable("operators are not commeasurable")
     blocks = [systems[0].vectors]
-    mats = [s.matrix() for s in systems]
     for system, m in zip(systems, mats):
         td = numeric.tol_dedup(system.norm())
         refined = []
         for block in blocks:
+            if len(block) == 1:  # eigh's 1 x 1 eigenvector is 1, and u.T @ block is block + 0.0
+                refined.append(block + 0.0)
+                continue
             w, rows = _eigh_on(block.conj() @ m @ block.T, block)
             refined.extend(rows[start:stop] for start, stop in numeric.clusters(w, td))
         blocks = refined
     out = [
-        (v, tuple(float(np.real(np.vdot(v, m @ v))) for m in mats))
+        (v, tuple(float(np.vdot(v, m @ v).real) for m in mats))
         for block in blocks for v in block
     ]
     digits = numeric.JOINT_KEY_DIGITS
-    out.sort(key=lambda item: (tuple(round(t, digits) for t in item[1]), _vector_key(item[0])))
+    keyed = sorted(((tuple(round(t, digits) for t in tup), v, tup) for v, tup in out),
+                   key=lambda item: item[0])
+    out = []
+    for _, run in groupby(keyed, key=lambda item: item[0]):  # stable: ties go on to vector keys
+        run = [(v, tup) for _, v, tup in run]
+        out += sorted(run, key=lambda item: _vector_key(item[0])) if len(run) > 1 else run
     return out
 
 
@@ -346,10 +362,7 @@ def joint_generator(systems):
     beta = np.arange(len(joint), dtype=float)
     vectors = np.array([v for v, _ in joint]).reshape(len(joint), d)
     generator = EigenSystem(d, beta, vectors)
-    tables = []
-    for i in range(len(systems)):
-        tables.append({float(b): joint[int(b)][1][i] for b in beta})
-    return generator, tables
+    return generator, [{float(b): joint[int(b)][1][i] for b in beta} for i in range(len(systems))]
 
 
 def table_function(table):

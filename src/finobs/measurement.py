@@ -111,6 +111,7 @@ class Scale:
     objects: ObjectSet
     labels: LabelSet
     assignment: tuple
+    _partition: "PartitionPlus" = field(init=False, repr=False, compare=False)  # its fibers
 
     def __post_init__(self):
         mapping = dict(self.assignment)
@@ -120,6 +121,9 @@ class Scale:
             raise ValidationError("scale uses a label outside the label set")
         pairs = tuple((x, mapping[x]) for x in self.objects.elements)
         object.__setattr__(self, "assignment", pairs)
+        number = {}  # label -> block number, fibers numbered in object order after {a}'s 0
+        where = [0] + [number.setdefault(y, len(number) + 1) for _, y in pairs]
+        object.__setattr__(self, "_partition", PartitionPlus._canonical(self.objects, where))
 
 
 @dataclass(frozen=True)
@@ -337,9 +341,7 @@ def ideal_members(partition, codes):
 
 def scale_to_partition(scale):
     """Partition induced by a total labeling: its fibers, plus {a} alone."""
-    number = {}  # label -> block number, fibers numbered in object order after {a}'s 0
-    where = [0] + [number.setdefault(y, len(number) + 1) for _, y in scale.assignment]
-    return PartitionPlus._canonical(scale.objects, where)
+    return scale._partition
 
 
 def is_observable(partition, labels):

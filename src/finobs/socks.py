@@ -84,9 +84,11 @@ class ChoiceFunction:
         return cls(length, bits)
 
 
-@functools.cache
+@functools.lru_cache(maxsize=MAX_PAIRS_TENSOR + 1, typed=True)  # typed: 2.0 never hits 2
 def alternation_signs(n):
     """Signs of the 2^N choice functions in index order: -1 at an odd count of b socks."""
+    if not 0 <= _integer(n, "pair count") <= MAX_PAIRS_TENSOR:
+        raise ValidationError(f"pair count must be in 0..{MAX_PAIRS_TENSOR}")
     signs = np.ones(1 << n)
     for k in range(n):  # setting bit k adds one b sock
         signs[1 << k : 2 << k] = -signs[: 1 << k]
@@ -156,7 +158,7 @@ def tensor_inner(x, y):
     if x.length != y.length:
         raise ValidationError("tensors over different pair counts")
     with np.errstate(over="ignore", invalid="ignore"):
-        value = complex(np.sum(x.table * np.conj(y.table)))
+        value = complex((x.table * y.table.conj()).sum())
     if not cmath.isfinite(value):
         raise ValidationError("tensor inner product overflows")
     return value
@@ -235,7 +237,9 @@ def flip(action, v):
     """Apply a flip action to a truncated Fock vector."""
     if not isinstance(action, FlipAction):
         action = FlipAction(frozenset(action))
-    return TruncatedFockVector(action.signs(len(v.coeffs)) * v.coeffs)
+    out = object.__new__(TruncatedFockVector)  # unchecked: +-1 times finite coefficients
+    out.coeffs = action.signs(len(v.coeffs)) * v.coeffs
+    return out
 
 
 def least_support(v):

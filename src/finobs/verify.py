@@ -39,8 +39,8 @@ BOUNDS = {
     "concatenation": {"product residual": 1e-8, "hermiticity": 1e-10, "phase below 0": 1e-10,
                       "phase past 2 pi": 0.0, "commuting reduction": 1e-9},
     "state-compression": {"drift": 1e-9},  # of a polynomial's expectation
-    # closed-form variances and product; ||<e0, ray>| - 1|, inf unless one ray is shared
-    "variance-complementarity": {"variance": 1e-12, "shared ray": 1e-8},
+    # closed forms; ||<e0, ray>| - 1|, inf unless one ray is shared; e0's domain distances
+    "variance-complementarity": {"variance": 1e-12, "shared ray": 1e-8, "domain distance": 1e-8},
     "oscillator-spectrum": {"gap spread": 0.01},  # largest / least of the first five gaps - 1
     "tensor-inner-identity": {"identity residual": 1e-12, "norm residual": 1e-12},
     # |sum of A(e_a - e_b)| per unit of max(1, |tail|, |entry|), for A that preserve zero sums
@@ -93,9 +93,8 @@ def _subset(rng, atoms, size):
 
 def _integer_vector(rng, atoms):
     """A vector on `atoms` with Gaussian-integer entries in [-3, 3] + [-3, 3]i."""
-    return fhlogic.FiniteSupportVector(
-        {a: complex(int(rng.integers(-3, 4)), int(rng.integers(-3, 4))) for a in atoms}
-    )
+    draws = rng.integers(-3, 4, size=(len(atoms), 2)).tolist()  # the values of 2n scalar draws
+    return fhlogic.FiniteSupportVector({a: complex(re, im) for a, (re, im) in zip(atoms, draws)})
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +220,8 @@ def _dense_apply(func, m):
 def _check_functional_calculus(seed):
     rng = _rng(seed, 5)
     residuals = []
+    right = 0  # pairs with both commeasurable verdicts right; diag[d] commutes with no dense am
+    diag = {d: finitary.diagonalize(np.diag(np.arange(float(d)))) for d in range(2, 7)}
     for _ in range(50):
         d = int(rng.integers(2, 7))
         base = _hermitian(rng, d)
@@ -231,6 +232,8 @@ def _check_functional_calculus(seed):
         bm = _dense_apply(q, base)
         asys = finitary.diagonalize(am)
         bsys = finitary.diagonalize(bm)
+        right += (finitary.commeasurable([asys, bsys])
+                  and not finitary.commeasurable([asys, diag[d]]))
         checks = [
             (lambda a, b: a + b, am + bm),
             (lambda a, b: a * b, am @ bm),
@@ -244,7 +247,7 @@ def _check_functional_calculus(seed):
             residuals.append(np.max(np.abs(got - want)))
     worst = _worst(residuals)
     detail = f"50 commuting pairs x 5 function forms, worst entry residual {worst:.3e}"
-    return _result("functional-calculus", detail, {"entry residual": worst})
+    return _result("functional-calculus", detail, {"entry residual": worst}, ok=right == 50)
 
 
 # ---------------------------------------------------------------------------
@@ -372,13 +375,20 @@ def _check_variance_complementarity(seed):
         e[0] = 1.0
         want = (a0 - a1) ** 2 / 4.0
         extra += [abs(dynamics.variance(ss, e) - want), abs(dynamics.variance(tt, e) - want)]
+    # in_domain against the dense distance |(I - V*V) x| to the span of the rows V:
+    # e0 lies in both domains, each eigenvector of S outside T's
+    probes = [(s_sys, e0), (t_sys, e0)] + [(t_sys, v) for v in s_sys.vectors]
+    gaps = [np.linalg.norm((np.eye(5) - m.vectors.T @ m.vectors.conj()) @ x) for m, x in probes]
+    near = [_within("variance-complementarity", "domain distance", g) for g in gaps]
+    domains_ok = near == [finitary.in_domain(m, x) for m, x in probes] == [True, True, False, False]
     detail = (
         f"variance {vs:.3e} twice, product {vs * vt:.3e}, "
         f"{'one shared ray' if ray_ok else 'WRONG intersection'}, "
         f"10 seeded pairs residual {_worst(extra):.3e}"
     )
-    worst = {"variance": _worst(residuals + extra), "shared ray": ray}
-    return _result("variance-complementarity", detail, worst)
+    worst = {"variance": _worst(residuals + extra), "shared ray": ray,
+             "domain distance": _worst(gaps[:2])}
+    return _result("variance-complementarity", detail, worst, ok=domains_ok)
 
 
 def _check_oscillator_spectrum(seed):
@@ -448,19 +458,14 @@ def _check_tensor_antisymmetry(seed):
     failed = 0
     for n in range(6):
         amplitude = complex(rng.standard_normal(), rng.standard_normal())
-        tensors = [
-            socks.generator_tensor(n),
-            socks.SignedTensor(n, amplitude * socks.alternation_signs(n)),
-        ]
+        tensors = [socks.generator_tensor(n),
+                   socks.SignedTensor(n, amplitude * socks.alternation_signs(n))]
+        choices = [socks.ChoiceFunction.from_index(n, i) for i in range(1 << n)]
         for tensor in tensors:
-            for i in range(1 << n):
-                for j in range(1 << n):
-                    swaps = bin(i ^ j).count("1")
-                    lhs = tensor.value(socks.ChoiceFunction.from_index(n, i))
-                    rhs = tensor.value(socks.ChoiceFunction.from_index(n, j))
-                    cases += 1
-                    if lhs != (-1.0) ** swaps * rhs:
-                        failed += 1
+            values = [tensor.value(choice) for choice in choices]
+            for (i, lhs), (j, rhs) in product(enumerate(values), repeat=2):
+                cases += 1
+                failed += lhs != (-1.0) ** bin(i ^ j).count("1") * rhs
     detail = f"{cases} choice-function pairs over 0..5 pair tensors, {failed} sign violations"
     return _result("tensor-antisymmetry", detail, {}, ok=failed == 0)
 

@@ -1,4 +1,5 @@
-"""The per-metric verdicts of `tools/bench_serial.py pairs`."""
+"""The per-metric verdicts of `tools/bench_serial.py pairs`, and the
+per-function summary of its `pass` mode."""
 
 import sys
 from pathlib import Path
@@ -33,3 +34,15 @@ def test_within_bound_reads_the_bound_as_a_fraction_of_the_parents_median():
     assert _verdict([1.2 * p for p in PARENT])["within_bound"]
     assert not _verdict([1.3 * p for p in PARENT])["within_bound"]
     assert not _verdict([1.2 * p for p in PARENT], bound=0.1)["within_bound"]
+
+
+def test_the_pass_summary_pools_every_pass_and_adds_the_whole_pass():
+    def child(scale):
+        return [{"flip": 0.010 * scale * k, "tensor_inner": 0.020 * scale * k} for k in (1, 2, 3)]
+
+    got = {"parent": [child(1.0), child(1.0)], "change": [child(0.5), child(0.5)]}
+    rows = bench_serial.pass_summary(got)
+    assert list(rows) == ["flip", "tensor_inner", "all"]
+    assert rows["flip"]["parent"] == {"median_ms": 20.0, "min_ms": 10.0, "samples": 6}
+    assert rows["all"]["parent"]["median_ms"] == 60.0
+    assert rows["all"]["change_over_parent"] == 0.5

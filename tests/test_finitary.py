@@ -30,6 +30,7 @@ from finobs.finitary import (
     restrict,
     table_function,
 )
+from finobs.finitary import _domains_match, _vector_key
 
 E0 = np.array([1.0, 0.0, 0.0])
 E1 = np.array([0.0, 1.0, 0.0])
@@ -222,6 +223,87 @@ def test_joint_eigensystem_needs_commuting_operators():
     flip = diagonalize(np.array([[0.0, 1.0], [1.0, 0.0]]))
     with pytest.raises(NotCommeasurable):
         joint_eigensystem([a, flip])
+
+
+def _reference_joint(systems):
+    """The joint basis refined by eigh on every block, 1 x 1 blocks included,
+    and ordered by the full (value key, vector key) sort."""
+    mats = [s.matrix() for s in systems]
+    blocks = [systems[0].vectors]
+    for system, m in zip(systems, mats):
+        td = numeric.tol_dedup(system.norm())
+        refined = []
+        for block in blocks:
+            compressed = block.conj() @ m @ block.T
+            w, u = np.linalg.eigh((compressed + compressed.conj().T) / 2.0)
+            rows = u.T @ block
+            refined.extend(rows[start:stop] for start, stop in numeric.clusters(w, td))
+        blocks = refined
+    out = [(v, tuple(float(np.real(np.vdot(v, m @ v))) for m in mats))
+           for block in blocks for v in block]
+    digits = numeric.JOINT_KEY_DIGITS
+    out.sort(key=lambda item: (tuple(round(t, digits) for t in item[1]), _vector_key(item[0])))
+    return out
+
+
+def _on_basis(basis, values):
+    m = (basis * np.asarray(values, dtype=float)) @ basis.conj().T
+    return diagonalize((m + m.conj().T) / 2.0)
+
+
+# value patterns whose joint tuples repeat, so the vector key orders ties
+_PATTERNS = {
+    2: [[1, 1, 1, 2, 2, 3], [4, 4, 5, 6, 6, 7]],
+    3: [[1, 1, 1, 1, 2, 2], [0, 0, 3, 3, 5, 5], [9, 9, 9, 9, 9, 8]],
+}
+
+
+@pytest.mark.parametrize("count", [2, 3])
+@pytest.mark.parametrize("seed", range(4))
+def test_joint_eigensystem_matches_the_full_sort_and_refinement_bit_for_bit(count, seed):
+    rng = np.random.default_rng([seed, count])
+    g = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    unitary, _ = np.linalg.qr(g)
+    # a random basis, and the standard one, whose eigenvectors hold signed zeros
+    for basis in (unitary, np.eye(6, dtype=complex)[rng.permutation(6)]):
+        systems = [_on_basis(basis, values) for values in _PATTERNS[count]]
+        got, want = joint_eigensystem(systems), _reference_joint(systems)
+        assert [tup for _, tup in got] == [tup for _, tup in want]
+        keys = {tuple(round(t, numeric.JOINT_KEY_DIGITS) for t in tup) for _, tup in got}
+        assert len(keys) < len(got)  # some value keys repeat, so vector keys order them
+        for (v, _), (w, _) in zip(got, want):
+            assert v.tobytes() == w.tobytes()
+
+
+def test_joint_eigensystem_of_distinct_values_matches_the_full_refinement():
+    rng = np.random.default_rng(3)
+    for d in (1, 2, 5):
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        basis, _ = np.linalg.qr(g)
+        systems = [_on_basis(basis, rng.uniform(-2, 2, d)) for _ in range(2)]
+        got, want = joint_eigensystem(systems), _reference_joint(systems)
+        assert [(v.tobytes(), tup) for v, tup in got] == [(w.tobytes(), tup) for w, tup in want]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_domains_match_agrees_with_in_domain_row_by_row(seed):
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    basis = np.linalg.qr(g)[0].T  # orthonormal rows
+    rows, outside = basis[:3], basis[3]
+    values = [-1.0, 0.5, 2.0]
+    a = from_eigenpairs(zip(values, rows), 6)
+    spin = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
+    rotated = from_eigenpairs(zip(values, spin @ rows), 6)
+    tilted_rows = rows.copy()
+    tilted_rows[0] = np.cos(1e-6) * rows[0] + np.sin(1e-6) * outside
+    tilted = from_eigenpairs(zip(values, tilted_rows), 6)
+    fewer = from_eigenpairs(zip(values[:2], rows[:2]), 6)
+    cases = [(a, a, True), (a, rotated, True), (rotated, a, True), (a, tilted, False),
+             (tilted, a, False), (a, fewer, False), (fewer, a, False)]
+    for x, y, want in cases:
+        per_row = x.count == y.count and all(in_domain(y, q) for q in x.vectors)
+        assert _domains_match(x, y) == per_row == want
 
 
 def test_functional_calculus_product():

@@ -517,6 +517,25 @@ def test_every_scale_and_pushforward_partition_rebuilds(n):
             assert_rebuilds(pushforward_partition(h, scale))
 
 
+@pytest.mark.parametrize("n", range(5))
+def test_a_scale_carries_its_fresh_fiber_partition(n):
+    objects = _objects(n)
+    labels = LabelSet((0, 1, 2))
+    for assignment in all_functions(objects.elements, labels.values):
+        scale = Scale(objects, labels, assignment)
+        fibers = {}
+        for x, y in scale.assignment:
+            fibers.setdefault(y, []).append(x)
+        blocks = ((objects.distinguished,),) + tuple(map(tuple, fibers.values()))
+        fresh = PartitionPlus(objects, blocks)
+        got = scale_to_partition(scale)
+        assert got is scale_to_partition(scale)
+        assert (got, got.blocks, got._where) == (fresh, fresh.blocks, fresh._where)
+        # the stored partition takes no part in equality, hashing or repr
+        twin = Scale(objects, labels, dict(assignment))
+        assert twin == scale and hash(twin) == hash(scale) and "_partition" not in repr(scale)
+
+
 def test_pushforward_validates_the_relabeling():
     scale = Scale(X3, Y2, {"x": 0, "y": 1, "z": 0})
     with pytest.raises(ValidationError):

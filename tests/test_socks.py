@@ -106,6 +106,25 @@ def test_alternation_signs_are_popcount_parity_and_read_only():
     assert not np.shares_memory(tensor.table, alternation_signs(2))
 
 
+def test_alternation_signs_fail_closed_outside_the_tensor_range():
+    for bad in (17, -1, True, 2.0):
+        with pytest.raises(ValidationError):
+            alternation_signs(bad)
+    for n in [*range(17), np.int64(3), np.int32(16), 16, 0]:
+        assert alternation_signs(n).tobytes() == alternation_signs(int(n)).tobytes()
+    assert alternation_signs.cache_info().currsize <= 17
+
+
+def test_tensor_inner_bits_equal_the_np_sum_form():
+    rng = np.random.default_rng(5)
+    for n in range(9):
+        for scale in (1.0, 1e-30, 1e10):
+            x, y = (pair_tensor([PairVector(i, scale * complex(*rng.standard_normal(2)))
+                                 for i in range(n)]) for _ in range(2))
+            want = complex(np.sum(x.table * np.conj(y.table)))
+            assert np.complex128(tensor_inner(x, y)).tobytes() == np.complex128(want).tobytes()
+
+
 @pytest.mark.parametrize("exponent", [478, 479, 480])
 @pytest.mark.parametrize("phase", [1.0, 1j, (1.0 + 1.0j) / np.sqrt(2.0)])
 def test_alternation_verdicts_around_the_scaling_threshold(exponent, phase):
@@ -285,6 +304,22 @@ def test_flip_composition_is_symmetric_difference(a, b, coeffs):
     composed = flip(a, flip(b, v))
     direct = flip(a ^ b, v)
     assert np.array_equal(composed.coeffs, direct.coeffs)
+
+
+def test_flip_builds_the_checked_vector_bit_for_bit():
+    rng = np.random.default_rng(9)
+    for size in (1, 2, 9, 33):
+        for scale in (1.0, 1e308):
+            coeffs = scale * (rng.uniform(-1, 1, size) + 1j * rng.uniform(-1, 1, size))
+            coeffs[0] = complex(-0.0, 1e308)
+            coeffs[-1] = complex(-1e308, 0.0)
+            v = TruncatedFockVector(coeffs)
+            action = FlipAction(frozenset(int(p) for p in rng.choice(40, size=3, replace=False)))
+            got = flip(action, v)
+            want = TruncatedFockVector(action.signs(size) * v.coeffs)
+            assert type(got) is TruncatedFockVector and got.max_pairs == want.max_pairs
+            assert (got.coeffs.dtype, got.coeffs.shape) == (want.coeffs.dtype, want.coeffs.shape)
+            assert got.coeffs.tobytes() == want.coeffs.tobytes()
 
 
 def test_least_support():

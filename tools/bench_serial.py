@@ -3,6 +3,7 @@
     python3 tools/bench_serial.py serial --parent P --change C [-o BENCH_serial.json]
     python3 tools/bench_serial.py checks --parent P --change C [-o BENCH_verify.json]
     python3 tools/bench_serial.py setup --parent P --change C [-o BENCH_serial.json]
+    python3 tools/bench_serial.py pass --parent P --change C [-o BENCH_serial.json]
     python3 tools/bench_serial.py pairs --parent P --change C
         --workload W --seeds S1,S2,... [-o BENCH_serial.json]
 
@@ -18,7 +19,11 @@ SETUP_ROUNDS children per checkout run the same way: the import of the
 bench module, each phase builder that `api_batch.build` calls (at seed
 SEED, full sizes), the `socks.pair_tensor` calls inside the socks phase,
 and the warm-up pass.  The bench's traced child records only the timed
-pass, so this is the layer view of `setup_s`.  `pairs` runs
+pass, so this is the layer view of `setup_s`.  `pass` times api_batch's
+timed pass by function (`run_pass(ops, spent)`, at seed SEED, full
+sizes), in ROUNDS children per checkout run the same way, each making
+one warm-up pass and then REPEATS timed passes: the layer view of
+`op_ref_s`.  `pairs` runs
 `bench/run.py --workload W --seconds 25 --trace 0` in each checkout per
 seed, alternating which goes first, and gives each end-to-end metric a
 verdict: `gain_shown` and `within_bound` (see `pairs_summary`).
@@ -120,6 +125,19 @@ def setup_child():
     return spent
 
 
+def pass_child():
+    """In a checkout's environment: seconds of each function in each timed api_batch pass."""
+    import api_batch
+
+    ops = api_batch.build(SEED, api_batch.SIZES["full"])
+    runs = []
+    for _ in range(REPEATS + 1):  # the first run is the warm-up
+        spent = {}
+        api_batch.run_pass(ops, spent)
+        runs.append(spent)
+    return runs[1:]
+
+
 def tree_env(tree):
     """Environment that runs checkout `tree` from its own `src` and `bench`
     on one BLAS thread, with the tools importable by a child."""
@@ -184,6 +202,26 @@ def setup_section(args):
             "children_per_side": SETUP_ROUNDS, "layers": layers}
 
 
+def pass_summary(got):
+    """Per function of the pass, and for the whole pass (`all`), each side's median
+    and minimum over every timed pass of every child, and the change's median
+    over the parent's; `got` holds each side's children, each a list of passes."""
+    runs = {side: [dict(run, all=sum(run.values())) for child in children for run in child]
+            for side, children in got.items()}
+    functions = {}
+    for name in runs["parent"][0]:
+        row = {side: summary([run[name] for run in side_runs]) for side, side_runs in runs.items()}
+        row["change_over_parent"] = round(row["change"]["median_ms"] / row["parent"]["median_ms"], 3)
+        functions[name] = row
+    return functions
+
+
+def pass_section(args):
+    got = alternating_children(args, "pass_child")
+    return {"seed": SEED, "sizes": "full", "clock": "perf_counter", "children_per_side": ROUNDS,
+            "passes_per_child": REPEATS, "warmup_runs_per_child": 1, "functions": pass_summary(got)}
+
+
 def serial_section(args):
     got = alternating_children(args)
     out = {}
@@ -246,7 +284,7 @@ def pairs_section(args):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("mode", choices=("serial", "checks", "setup", "pairs"))
+    parser.add_argument("mode", choices=("serial", "checks", "setup", "pass", "pairs"))
     parser.add_argument("--parent", required=True)
     parser.add_argument("--change", required=True)
     parser.add_argument("--workload", default="api_batch")
@@ -268,6 +306,8 @@ def main(argv=None):
         doc["checks"] = checks_section(args)
     elif args.mode == "setup":
         doc["setup"] = setup_section(args)
+    elif args.mode == "pass":
+        doc["pass"] = pass_section(args)
     else:
         doc.setdefault("pairs", {})[args.workload] = pairs_section(args)
     path.write_text(json.dumps(doc, indent=1) + "\n")
