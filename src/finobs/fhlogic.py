@@ -317,13 +317,13 @@ def _drop_small(rows):
 
 def _touched(rows, window):
     """`rows` and `window` without the atoms whose column is all zero."""
-    keep = np.any(rows != 0, axis=0)
-    return rows[:, keep], [a for a, k in zip(window, keep) if k]
+    keep = rows.any(axis=0)
+    return rows[:, keep], [a for a, k in zip(window, keep.tolist()) if k]
 
 
 def _inside(rows):
     """Mask of the atoms whose basis vector lies in the span of orthonormal `rows`."""
-    return np.sum(np.abs(rows) ** 2, axis=0) >= 1.0 - numeric.INSIDE
+    return (np.abs(rows) ** 2).sum(axis=0) >= 1.0 - numeric.INSIDE
 
 
 def _canonical(rows, window, cofinite):

@@ -117,11 +117,12 @@ def clusters(values, td):
 def orth_rows(rows):
     """Orthonormal rows spanning `rows`, dropping singular values at or
     below SPAN times max(largest singular value, 1)."""
-    rows = np.atleast_2d(np.asarray(rows, dtype=complex))
+    if type(rows) is not np.ndarray or rows.dtype != complex or rows.ndim != 2:
+        rows = np.atleast_2d(np.asarray(rows, dtype=complex))
     if rows.size == 0:
         return np.zeros((0, rows.shape[-1] if rows.ndim == 2 else 0), dtype=complex)
     _, s, vh = np.linalg.svd(rows, full_matrices=False)
-    return vh[: int(np.sum(s > SPAN * max(float(s[0]), 1.0)))]
+    return vh[: np.count_nonzero(s > SPAN * max(float(s[0]), 1.0))]
 
 
 def intersect_rows(q1, q2, tol):
@@ -131,7 +132,7 @@ def intersect_rows(q1, q2, tol):
     whose cosine is at least 1 - `tol` are the shared ones.
     """
     u, s, _ = np.linalg.svd(q1.conj() @ q2.T)
-    return u[:, : int(np.sum(s >= 1.0 - tol))].T @ q1
+    return u[:, : np.count_nonzero(s >= 1.0 - tol)].T @ q1
 
 
 def components(items, pairs):

@@ -109,7 +109,8 @@ class SignedTensor:
     table: np.ndarray
 
     def __post_init__(self):
-        if not 0 <= _integer(self.length, "tensor length") <= MAX_PAIRS_TENSOR:
+        self.length = _integer(self.length, "tensor length")  # an int: one signs table per N
+        if not 0 <= self.length <= MAX_PAIRS_TENSOR:
             raise ValidationError(f"tensor length must be in 0..{MAX_PAIRS_TENSOR}")
         table = np.asarray(self.table, dtype=complex).reshape(-1)
         if len(table) != (1 << self.length):
@@ -171,13 +172,14 @@ class TruncatedFockVector:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        coeffs = np.asarray(self.coeffs, dtype=complex).reshape(-1)
+        coeffs = np.array(self.coeffs, dtype=complex).reshape(-1)  # a copy, made read-only
         if len(coeffs) == 0:
             raise ValidationError("need at least the u_0 coefficient")
         if len(coeffs) > MAX_PAIRS_FOCK + 1:
             raise ValidationError(f"at most {MAX_PAIRS_FOCK + 1} components supported")
         if not np.isfinite(coeffs).all():
             raise ValidationError("coefficients must be finite")
+        coeffs.flags.writeable = False  # so they stay finite: flip trusts them
         object.__setattr__(self, "coeffs", coeffs)
 
     @property
@@ -239,6 +241,7 @@ def flip(action, v):
         action = FlipAction(frozenset(action))
     out = object.__new__(TruncatedFockVector)  # unchecked: +-1 times finite coefficients
     out.coeffs = action.signs(len(v.coeffs)) * v.coeffs
+    out.coeffs.flags.writeable = False  # read-only, as the constructor leaves it
     return out
 
 

@@ -8,17 +8,20 @@ timings, so a fixed seed yields byte-identical output.
 
 The checks are independent (each draws from `_rng(seed, tag)` and
 builds its own inputs), so `run_suite` runs them in forked workers, one
-per CPU, and the report stays byte-identical.
+per CPU, that claim them one by one from a pipe; the report stays
+byte-identical.
 """
 
 import os
+import pickle
 from dataclasses import dataclass
-from itertools import product
+from itertools import compress, product
 
 import numpy as np
 
 from . import dynamics, fhlogic, finitary, measurement, serial, socks
 from .enumeration import all_functions, all_partial_functions, nondecreasing_functions, set_partitions
+from .errors import ValidationError
 
 
 @dataclass(frozen=True)
@@ -103,8 +106,7 @@ def _integer_vector(rng, atoms):
 
 def _check_partition_ideal_roundtrip(seed):
     del seed  # exhaustive
-    total = 0
-    failed = 0
+    total = failed = 0
     for nx in range(6):
         elements = tuple(f"x{i + 1}" for i in range(nx))
         objects = measurement.ObjectSet(elements, "a")
@@ -119,23 +121,22 @@ def _check_partition_ideal_roundtrip(seed):
             members = labelings[measurement.ideal_members(partition, codes)].tolist()
             back = measurement.partition_of_family(objects, labels, members)
             total += 1
-            if back != partition:
-                failed += 1
+            failed += back != partition
     detail = f"{total} partitions over bases of 0..5 objects, {failed} mismatched"
     return _result("partition-ideal-roundtrip", detail, {}, ok=failed == 0)
 
 
-def _le_oracle(fd, gd, relabelings):
-    if any(x not in gd for x in fd):
-        return False
-    f_values, g_on_f = list(fd.values()), [gd[x] for x in fd]
-    return any(list(map(h.get, g_on_f)) == f_values for h in relabelings)
+def _reach(entries, relabelings):
+    """Every h o g restricted to a subset of dom g, for g's `entries` and each h
+    in `relabelings`, as entries: f <= g under those h iff f's entries are one."""
+    images = {tuple((x, h[y]) for x, y in entries) for h in relabelings}
+    return {tuple(compress(image, mask)) for image in images
+            for mask in product((0, 1), repeat=len(entries))}
 
 
 def _check_relabel_order_oracle(seed):
     del seed  # exhaustive
-    pairs = 0
-    failed = 0
+    pairs = failed = 0
     for nx, ny in product(range(4), range(4)):
         elements = tuple(f"x{i + 1}" for i in range(nx))
         objects = measurement.ObjectSet(elements, "a")
@@ -145,24 +146,20 @@ def _check_relabel_order_oracle(seed):
             measurement.PartialLabeling(objects, labels, entries)
             for entries in all_partial_functions(elements, values)
         ]
-        any_maps = list(all_functions(values, values))
-        monotone_maps = list(nondecreasing_functions(values, values))
-        dicts = [f.as_dict() for f in labelings]
-        for f, fd in zip(labelings, dicts):
-            for g, gd in zip(labelings, dicts):
-                pairs += 1
-                if measurement.le(f, g) != _le_oracle(fd, gd, any_maps):
-                    failed += 1
-                if measurement.pref_le(f, g) != _le_oracle(fd, gd, monotone_maps):
-                    failed += 1
+        maps = list(all_functions(values, values)), list(nondecreasing_functions(values, values))
+        for g in labelings:
+            below, pref_below = (_reach(g.entries, relabelings) for relabelings in maps)
+            pairs += len(labelings)
+            for f in labelings:
+                failed += measurement.le(f, g) != (f.entries in below)
+                failed += measurement.pref_le(f, g) != (f.entries in pref_below)
     detail = f"{pairs} ordered pairs against relabeling enumeration, {failed} disagreements"
     return _result("relabel-order-oracle", detail, {}, ok=failed == 0)
 
 
 def _check_scale_pushforward_oracle(seed):
     del seed  # exhaustive
-    cases = 0
-    failed = 0
+    cases = failed = 0
     for nx in range(5):
         for ny in range(1, 4):
             elements = tuple(f"x{i + 1}" for i in range(nx))
@@ -222,6 +219,9 @@ def _check_functional_calculus(seed):
     residuals = []
     right = 0  # pairs with both commeasurable verdicts right; diag[d] commutes with no dense am
     diag = {d: finitary.diagonalize(np.diag(np.arange(float(d)))) for d in range(2, 7)}
+    # zero operators on span(e0, e1) and on it turned by 1e-4 toward e2: not commeasurable
+    tilted = [finitary.EigenSystem(3, np.zeros(2), np.array([[1, 0, 0], [0, np.cos(t), np.sin(t)]]))
+              for t in (0.0, 1e-4)]
     for _ in range(50):
         d = int(rng.integers(2, 7))
         base = _hermitian(rng, d)
@@ -247,7 +247,8 @@ def _check_functional_calculus(seed):
             residuals.append(np.max(np.abs(got - want)))
     worst = _worst(residuals)
     detail = f"50 commuting pairs x 5 function forms, worst entry residual {worst:.3e}"
-    return _result("functional-calculus", detail, {"entry residual": worst}, ok=right == 50)
+    return _result("functional-calculus", detail, {"entry residual": worst},
+                   ok=right == 50 and not finitary.commeasurable(tilted))
 
 
 # ---------------------------------------------------------------------------
@@ -454,8 +455,7 @@ def _check_tensor_inner_identity(seed):
 
 def _check_tensor_antisymmetry(seed):
     rng = _rng(seed, 12)
-    cases = 0
-    failed = 0
+    cases = failed = 0
     for n in range(6):
         amplitude = complex(rng.standard_normal(), rng.standard_normal())
         tensors = [socks.generator_tensor(n),
@@ -480,16 +480,14 @@ def _check_flip_support(seed):
     for _ in range(20):
         coeffs = rng.standard_normal(m + 1) + 1j * rng.standard_normal(m + 1)
         vectors.append(socks.TruncatedFockVector(coeffs))
-    cases = 0
-    failed = 0
+    cases = failed = 0
     for v in vectors:
         support = socks.least_support(v)
         for k in range(m + 2):
             flipped = socks.flip(socks.FlipAction(frozenset({k})), v)
             moved = not np.array_equal(flipped.coeffs, v.coeffs)
             cases += 1
-            if moved != (k in support):
-                failed += 1
+            failed += moved != (k in support)
     detail = f"{len(vectors)} vectors x {m + 2} single flips, {failed} support mismatches"
     return _result("flip-support", detail, {}, ok=failed == 0)
 
@@ -523,14 +521,8 @@ def _check_fh_roundtrip(seed):
         op, atoms = _seeded_fh_operator(rng, symmetric=case % 2 == 0)
         matrix = fhlogic.fh_to_matrix(op, atoms)
         back = fhlogic.decompose_equivariant(matrix, atoms)
-        same = (
-            back.support == op.support
-            and np.array_equal(back.block, op.block)
-            and back.tail == op.tail
-            and back.symmetric == op.symmetric
-        )
-        if not same:
-            failed += 1
+        failed += not (back.support == op.support and np.array_equal(back.block, op.block)
+                       and back.tail == op.tail and back.symmetric == op.symmetric)
     detail = f"50 operators over windows of 3..12 atoms, {failed} canonical-form mismatches"
     return _result("fh-roundtrip", detail, {}, ok=failed == 0)
 
@@ -616,8 +608,7 @@ def _check_modular_law(seed):
         x = _random_subspace(rng, atoms)
         y = _random_subspace(rng, atoms)
         z = _random_subspace(rng, atoms)
-        if not fhlogic.modularity_check(x, y, z):
-            failed += 1
+        failed += not fhlogic.modularity_check(x, y, z)
     detail = f"200 subspace triples over a 6-atom window, {failed} shearing failures"
     return _result("modular-law", detail, {}, ok=failed == 0)
 
@@ -625,8 +616,7 @@ def _check_modular_law(seed):
 def _check_dimension_state_additivity(seed):
     rng = _rng(seed, 18)
     atoms = [f"q{i}" for i in range(6)]
-    failed = 0
-    families = 0
+    failed = families = 0
     for _ in range(60):
         k = int(rng.integers(1, 5))
         order = [atoms[i] for i in rng.permutation(6)]
@@ -652,8 +642,7 @@ def _check_dimension_state_additivity(seed):
         for member in members[1:]:
             joined = fhlogic.subspace_join(joined, member)
         total = sum(fhlogic.two_valued_state(m) for m in members)
-        if not ok or fhlogic.two_valued_state(joined) != total:
-            failed += 1
+        failed += not ok or fhlogic.two_valued_state(joined) != total
     cof_pairs_ok = True
     for _ in range(10):
         c1 = fhlogic.subspace([], exclude=[atoms[i] for i in rng.choice(6, size=2, replace=False)])
@@ -681,19 +670,16 @@ def _check_density_refutation(seed):
             fhlogic.FHOperator(support, block, tail, symmetric=True)
         )
         witness, verdict = fhlogic.refute_density(density)
-        ok = (
+        trace_ok = (str(verdict.trace) == "INFINITE" if verdict.trace.infinite
+                    else verdict.trace.value == 0.0)
+        failed += not (
             witness.exclude == density.support
             and fhlogic.two_valued_state(witness) == 1
             and verdict.state_value == 1
             and verdict.agrees is False
             and verdict.trace.infinite == (density.tail != 0)
+            and trace_ok
         )
-        if not verdict.trace.infinite and verdict.trace.value != 0.0:
-            ok = False
-        if verdict.trace.infinite and str(verdict.trace) != "INFINITE":
-            ok = False
-        if not ok:
-            failed += 1
     detail = f"20 density candidates, {failed} invalid witnesses or verdicts"
     return _result("density-refutation", detail, {}, ok=failed == 0)
 
@@ -741,15 +727,13 @@ def _seeded_values(seed):
 
 
 def _check_persistence_roundtrip(seed):
-    cases = 0
-    failed = 0
+    cases = failed = 0
     for kind, value in _seeded_values(seed):
         text = serial.dumps_value(kind, value)
         back = serial.loads_value(kind, text)
         again = serial.dumps_value(kind, back)
         cases += 1
-        if text != again:
-            failed += 1
+        failed += text != again
     detail = f"{cases} values across every kind, {failed} round trips changed bytes"
     return _result("persistence-roundtrip", detail, {}, ok=failed == 0)
 
@@ -795,16 +779,12 @@ SUITES = {
 # the longest checks by CPU time, longest first; `run_suite` starts them before
 # the rest so none is left to finish alone (longest-first greedy, Graham 1969)
 HEAVIEST_FIRST = ("modular-law", "functional-calculus", "partition-ideal-roundtrip",
-                  "oscillator-spectrum", "relabel-order-oracle")
+                  "oscillator-spectrum", "concatenation")
 
 
 def _name(fn):
     """The name a check reports."""
     return fn.__name__.removeprefix("_check_").replace("_", "-")
-
-
-def _failed(fn, exc):
-    return CheckResult(_name(fn), False, f"raised {type(exc).__name__}: {exc}")
 
 
 def _dispatch_order(checks):
@@ -817,59 +797,84 @@ def _run_check(fn, seed):
     try:
         return fn(seed)
     except Exception as exc:  # a crash is a failed check, not a crash of the tool
-        return _failed(fn, exc)
+        return CheckResult(_name(fn), False, f"raised {type(exc).__name__}: {exc}")
 
 
-_inherited = None  # (checks, seed) that a forked worker inherits
+def _claim(checks, seed, order, out):
+    """A forked worker: run each check whose index it reads from `order`; never returns."""
+    code = 1
+    try:
+        with open(out, "wb") as sink:
+            while claimed := os.read(order, 1):
+                sink.write(claimed)
+                sink.flush()  # the last result and this claim: seen even if the check kills us
+                result = pickle.dumps(_run_check(checks[claimed[0]], seed))
+                sink.write(len(result).to_bytes(4, "little") + result)
+        code = 0
+    finally:
+        os._exit(code)
 
 
-def _inherit(checks, seed):
-    global _inherited
-    _inherited = (checks, seed)
-
-
-def _run_inherited(index):
-    checks, seed = _inherited
-    return _run_check(checks[index], seed)
+def _reports(data):
+    """(index, CheckResult) for each check one worker claimed; None if it died in it."""
+    while data:
+        end = 5 + int.from_bytes(data[1:5], "little")
+        yield data[0], pickle.loads(data[5:end]) if end <= len(data) else None
+        data = data[end:]
 
 
 def run_suite(name, seed):
     """Run one named suite (or 'all') and return the CheckResults in suite order.
 
     The checks run in workers forked from the caller, one per usable CPU and
-    at most one per check, heaviest first, or here when that is one worker or
-    fork is missing.  Workers inherit the checks and the seed; only results
-    are pickled.  A check that raises fails; if a worker dies, each check from
-    the first in suite order left without a result fails naming BrokenProcessPool.
+    at most one per check, or here when that is one worker or fork is missing.
+    Each worker claims its next check by reading its index, one byte, from a
+    pipe filled heaviest first, and sends results back on a pipe of its own.
+    A check fails if it raises; if its worker dies running it, naming how the
+    worker ended, while the others keep claiming; and if no worker claims it,
+    naming the fork's error or else that every worker died.
     """
     if name == "all":
         checks = [fn for suite in SUITES.values() for fn in suite]
     elif name in SUITES:
         checks = list(SUITES[name])
     else:
-        from .errors import ValidationError
-
-        raise ValidationError(
-            f"unknown suite {name!r}; choose from {', '.join(SUITES)} or all"
-        )
+        raise ValidationError(f"unknown suite {name!r}; choose from {', '.join(SUITES)} or all")
     forkable = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
     workers = min(len(checks), len(os.sched_getaffinity(0))) if forkable else 1
     if workers < 2:
         return [_run_check(fn, seed) for fn in checks]
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
-    results = []
-    with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
-                             initializer=_inherit, initargs=(checks, seed)) as pool:
-        try:  # a worker can die while the checks are still being submitted
-            futures = {i: pool.submit(_run_inherited, i) for i in _dispatch_order(checks)}
-            for i in range(len(checks)):
-                results.append(futures[i].result())
-        except BrokenProcessPool as exc:
-            results += [_failed(fn, exc) for fn in checks[len(results):]]
-    return results
+    order, claims = os.pipe()
+    os.write(claims, bytes(_dispatch_order(checks)))
+    os.close(claims)
+    children, forking = [], None  # (pid, read end of its result pipe); fork's error
+    for _ in range(workers):
+        out, into = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError as exc:
+            os.close(out)
+            os.close(into)
+            forking = exc
+            break
+        if pid == 0:
+            _claim(checks, seed, order, into)
+        os.close(into)  # at once, so no later worker holds this pipe open
+        children.append((pid, out))
+    results = {}
+    for pid, out in children:
+        with open(out, "rb") as source:
+            reports = source.read()
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        ended = f"killed by signal {-code}" if code < 0 else f"exited with status {code}"
+        for i, result in _reports(reports):
+            results[i] = result or CheckResult(_name(checks[i]), False, f"its worker died, {ended}")
+    unclaimed = (f"not run: fork raised {type(forking).__name__}: {forking}" if forking
+                 else "not run: every worker died")
+    for i in os.read(order, len(checks)):
+        results[i] = CheckResult(_name(checks[i]), False, unclaimed)
+    os.close(order)
+    return [results[i] for i in range(len(checks))]
 
 
 def render_report(results, name, seed):

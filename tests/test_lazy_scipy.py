@@ -8,8 +8,9 @@ loaded after each one.
 The same run holds the CLI to its import budget: `import finobs.cli`
 and each subcommand load only the finobs modules they run, since every
 module loaded in a call is compiled from source when bytecode caching
-is off.  A one-check verify suite runs in process, so it loads neither
-`multiprocessing` nor `concurrent.futures`.
+is off.  verify loads neither `multiprocessing` nor `concurrent.futures`:
+a one-check suite runs in process, and a larger one in workers it forks
+itself.
 """
 
 import json
@@ -47,6 +48,7 @@ steps["spec"] = run("spec", "--operator", ham)
 steps["measure"] = run("measure", "--family", family)
 steps["evolve"] = run("evolve", "--hamiltonian", ham, "--state", state, "--time", "0.5")
 steps["verify"] = run("verify", "--suite", "serialization", "--seed", "3")
+steps["forked verify"] = run("verify", "--suite", "socks", "--seed", "3")
 steps["concat"] = run("concat", "--a", a, "--b", b)
 checks = (finobs.verify._check_unitary_evolution(3), finobs.verify._check_concatenation(3))
 steps["expm oracles"] = [0 if all(c.passed for c in checks) else 1, "", *loaded()]
@@ -120,3 +122,9 @@ def test_cli_loads_only_the_modules_a_subcommand_runs(run):
 def test_a_one_check_suite_loads_no_process_pool(run):
     _, _, steps = run
     assert steps["verify"][4] == []
+
+
+def test_a_forked_suite_loads_no_process_pool(run):
+    _, _, steps = run
+    assert steps["forked verify"][1].endswith("3 passed, 0 failed\n")
+    assert steps["forked verify"][4] == []

@@ -320,6 +320,27 @@ def test_flip_builds_the_checked_vector_bit_for_bit():
             assert type(got) is TruncatedFockVector and got.max_pairs == want.max_pairs
             assert (got.coeffs.dtype, got.coeffs.shape) == (want.coeffs.dtype, want.coeffs.shape)
             assert got.coeffs.tobytes() == want.coeffs.tobytes()
+            assert not got.coeffs.flags.writeable
+
+
+def test_a_fock_vector_keeps_a_read_only_copy_of_its_coefficients():
+    given = np.array([1.0, 2.0], dtype=complex)
+    v = TruncatedFockVector(given)
+    with pytest.raises(ValueError):
+        v.coeffs[1] = np.inf
+    given[1] = np.inf  # the caller's array stays its own and writable
+    assert v.coeffs.tolist() == [1.0, 2.0]
+    flipped = flip({0}, v)
+    assert flipped.coeffs.tolist() == [1.0, -2.0]
+    with pytest.raises(ValueError):
+        flipped.coeffs[0] = np.nan
+
+
+def test_tensors_of_an_int_and_a_numpy_length_share_one_signs_table():
+    alternation_signs.cache_clear()
+    tensors = [SignedTensor(n, [1.0, -1.0, -1.0, 1.0]) for n in (2, np.int64(2))]
+    assert [type(t.length) for t in tensors] == [int, int]
+    assert alternation_signs.cache_info().currsize == 1
 
 
 def test_least_support():
