@@ -12,6 +12,7 @@ the library modules it uses, so a call loads only what it runs.
 
 import argparse
 import functools
+import gc
 import os
 import sys
 
@@ -293,6 +294,7 @@ def _run(argv):
     result = args.handler(args)
     text, code = result if isinstance(result, tuple) else (result, 0)
     serial.write_text(text, args.output)
+    sys.stdout.flush()  # a closed stdout fails here, inside the error mapping
     return code
 
 
@@ -307,5 +309,18 @@ def main(argv=None):
         return 1
 
 
+def run():
+    """The process entry: `main()`, then `gc.freeze()` to spare the exit-time collections."""
+    try:
+        return main()
+    finally:
+        gc.freeze()
+        try:
+            sys.stdout.flush()
+        except OSError:
+            # stdout is closed: devnull keeps the exit flush from raising again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -1,5 +1,6 @@
-"""The per-metric verdicts of `tools/bench_serial.py pairs`, and the
-per-function summary of its `pass` mode."""
+"""The per-metric verdicts of `tools/bench_serial.py pairs`, the
+per-function summary of its `pass` mode and the per-subcommand summary
+of its `calls` mode."""
 
 import sys
 from pathlib import Path
@@ -46,3 +47,15 @@ def test_the_pass_summary_pools_every_pass_and_adds_the_whole_pass():
     assert rows["flip"]["parent"] == {"median_ms": 20.0, "min_ms": 10.0, "samples": 6}
     assert rows["all"]["parent"]["median_ms"] == 60.0
     assert rows["all"]["change_over_parent"] == 0.5
+
+
+def test_the_calls_summary_keeps_pair_order_and_pools_every_call():
+    got = {"parent": {"spec": [0.20, 0.22, 0.18], "concat": [0.19, 0.21]},
+           "change": {"spec": [0.18, 0.23, 0.16], "concat": [0.17, 0.19]}}
+    rows = bench_serial.calls_summary(got)
+    assert list(rows) == ["spec", "concat", "all"]
+    assert rows["spec"]["parent"] == {"median_ms": 200.0, "min_ms": 180.0, "samples": 3}
+    assert rows["spec"]["change_wins"] == 2 and rows["concat"]["change_wins"] == 2
+    assert rows["spec"]["change_over_parent"] == 0.9
+    assert rows["all"]["parent"]["samples"] == 5 and rows["all"]["change_wins"] == 4
+    assert rows["all"]["change"]["median_ms"] == 180.0

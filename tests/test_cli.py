@@ -7,6 +7,7 @@ determinism run in a subprocess.
 
 import ast
 import contextlib
+import gc
 import io
 import json
 import os
@@ -565,6 +566,94 @@ def test_cli_leaves_file_and_stdout_io_to_serial():
         ast.unparse(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)
     }
     assert not called & banned
+
+
+# ---------------------------------------------------------------- process entry
+#
+# `python -m finobs`, `python -m finobs.cli` and the console script run
+# `cli.run`: `cli.main`, then `gc.freeze()` before the interpreter exits.
+
+
+@pytest.fixture
+def exit_cases(workdir):
+    _, write = workdir
+    op = write("m.json", dumps_value("operator", np.array([[2.0, 1.0], [1.0, 2.0]], dtype=complex)))
+    b = write("b.json", dumps_value("operator", np.eye(3, dtype=complex)))
+    ham = write("h.json", '{"ambient_dim": 2, "pairs": [{"value": 1.0, "vector": [[1, 0], [0, 0]]}]}')
+    state = write("psi.json", '{"vector": [[0, 0], [1, 0]]}')
+    return {
+        0: ("spec", "--operator", op),
+        1: ("concat", "--a", op, "--b", b),
+        2: ("evolve", "--hamiltonian", ham, "--state", state, "--time", "1.0"),
+    }
+
+
+@pytest.mark.parametrize("code", [0, 1, 2])
+def test_the_process_entry_matches_main_in_process(code, exit_cases):
+    argv = exit_cases[code]
+    in_process = run_cli(*argv)
+    assert in_process.returncode == code
+    done = run_module(*argv)
+    assert Done(done.returncode, done.stdout, done.stderr) == in_process
+
+
+def test_an_output_file_holds_the_bytes_stdout_would(exit_cases, tmp_path):
+    out = tmp_path / "out.json"
+    to_file = run_module(*exit_cases[0], "-o", str(out))
+    assert (to_file.returncode, to_file.stdout, to_file.stderr) == (0, "", "")
+    assert out.read_bytes() == run_module(*exit_cases[0]).stdout.encode("utf-8")
+
+
+def test_main_in_process_freezes_nothing(exit_cases):
+    before = gc.get_freeze_count()
+    assert run_cli(*exit_cases[0]).returncode == 0
+    assert gc.get_freeze_count() == before
+
+
+def test_the_console_script_is_the_process_entry():
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    assert '[project.scripts]\nfinobs = "finobs.cli:run"\n' in pyproject.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("module", ["finobs", "finobs.cli"])
+def test_atexit_callbacks_run_after_the_heap_is_frozen(module, exit_cases):
+    script = (
+        "import atexit, gc, runpy, sys\n"
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0, file=sys.stderr))\n"
+        "module, sys.argv = sys.argv[1], ['finobs', *sys.argv[2:]]\n"
+        "runpy.run_module(module, run_name='__main__')\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script, module, *exit_cases[0]],
+                          capture_output=True, text=True)
+    assert (done.returncode, done.stderr) == (0, "frozen True\n")
+    assert done.stdout == run_cli(*exit_cases[0]).stdout
+
+
+_BROKEN_PIPE = (1, "error: [Errno 32] Broken pipe\n")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("command, expected", [
+    ("spec", _BROKEN_PIPE),
+    ("verify", _BROKEN_PIPE),
+    ("help", (0, "")),  # argparse ignores a failed write of the help text
+])
+def test_a_closed_stdout_ends_the_same_way_in_both_buffering_modes(
+    unbuffered, command, expected, exit_cases
+):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    argv = {"spec": exit_cases[0], "verify": ("verify", "--suite", "serialization"),
+            "help": ("spec", "--help")}[command]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-m", "finobs", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == expected
 
 
 # ---------------------------------------------------------------- fuzz gate

@@ -4,6 +4,7 @@
     python3 tools/bench_serial.py checks --parent P --change C [-o BENCH_verify.json]
     python3 tools/bench_serial.py setup --parent P --change C [-o BENCH_serial.json]
     python3 tools/bench_serial.py pass --parent P --change C [-o BENCH_serial.json]
+    python3 tools/bench_serial.py calls --parent P --change C [-o BENCH_serial.json]
     python3 tools/bench_serial.py pairs --parent P --change C
         --workload W --seeds S1,S2,... [-o BENCH_serial.json]
 
@@ -23,7 +24,13 @@ pass, so this is the layer view of `setup_s`.  `pass` times api_batch's
 timed pass by function (`run_pass(ops, spent)`, at seed SEED, full
 sizes), in ROUNDS children per checkout run the same way, each making
 one warm-up pass and then REPEATS timed passes: the layer view of
-`op_ref_s`.  `pairs` runs
+`op_ref_s`.  `calls` writes the cli_small inputs once
+(`bench/cli_inputs.write` at seed SEED, from C) and times
+`python -m finobs <argv>` for each of the ten subcommands, CALL_ROUNDS
+times per checkout after one warm-up call each, alternating which
+checkout goes first; it fails when the two give different stdout,
+stderr or exit code.  This is the layer view of cli_small `op_ref_s`.
+`pairs` runs
 `bench/run.py --workload W --seconds 25 --trace 0` in each checkout per
 seed, alternating which goes first, and gives each end-to-end metric a
 verdict: `gain_shown` and `within_bound` (see `pairs_summary`).
@@ -37,6 +44,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -44,6 +52,7 @@ THREADS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS
 SEED, ROUNDS, REPEATS = 1, 4, 10
 CHECK_SEED, CHECK_REPEATS = 42, 5
 SETUP_ROUNDS = 10
+CALL_ROUNDS = 8
 
 
 def child():
@@ -138,6 +147,14 @@ def pass_child():
     return runs[1:]
 
 
+def calls_child(directory):
+    """In a checkout's environment: write the cli_small inputs under
+    `directory` and return the argument list of each case."""
+    import cli_inputs
+
+    return [case.argv for case in cli_inputs.write(Path(directory), SEED)]
+
+
 def tree_env(tree):
     """Environment that runs checkout `tree` from its own `src` and `bench`
     on one BLAS thread, with the tools importable by a child."""
@@ -146,8 +163,8 @@ def tree_env(tree):
     return dict(os.environ, **THREADS, PYTHONPATH=os.pathsep.join(map(str, path)))
 
 
-def run_child(tree, func="child"):
-    code = f"import json, bench_serial; print(json.dumps(bench_serial.{func}()))"
+def run_child(tree, func="child", *args):
+    code = f"import json, bench_serial; print(json.dumps(bench_serial.{func}(*{list(args)!r})))"
     out = subprocess.run([sys.executable, "-c", code], env=tree_env(tree), cwd=tree,
                          check=True, capture_output=True, text=True).stdout
     return json.loads(out.splitlines()[-1])
@@ -222,6 +239,50 @@ def pass_section(args):
             "passes_per_child": REPEATS, "warmup_runs_per_child": 1, "functions": pass_summary(got)}
 
 
+def calls_summary(got):
+    """Per subcommand, and over every call (`all`), each side's median and
+    minimum, the calls the change wins against the parent's call it was
+    paired with, and the change's median over the parent's; `got` holds
+    each side's seconds per subcommand, in pair order."""
+    rows = {}
+    for name in [*got["parent"], "all"]:
+        times = {side: sum(calls.values(), []) if name == "all" else calls[name]
+                 for side, calls in got.items()}
+        row = {side: summary(t) for side, t in times.items()}
+        row["change_wins"] = sum(c < p for p, c in zip(times["parent"], times["change"]))
+        row["change_over_parent"] = round(row["change"]["median_ms"] / row["parent"]["median_ms"], 3)
+        rows[name] = row
+    return rows
+
+
+def time_call(tree, argv):
+    """Seconds of one `python -m finobs` call on `tree`'s source, and what it printed."""
+    t0 = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "finobs", *argv], env=tree_env(tree), cwd=tree,
+                          capture_output=True, text=True)
+    return time.perf_counter() - t0, (done.returncode, done.stdout, done.stderr)
+
+
+def calls_section(args):
+    sides = {"parent": args.parent, "change": args.change}
+    with tempfile.TemporaryDirectory() as directory:
+        argvs = run_child(args.change, "calls_child", directory)
+        for tree in sides.values():  # the warm-up call
+            time_call(tree, argvs[0])
+        got = {side: {argv[0]: [] for argv in argvs} for side in sides}
+        for r in range(CALL_ROUNDS):
+            for i, argv in enumerate(argvs):
+                order = list(sides) if (r + i) % 2 == 0 else list(sides)[::-1]
+                printed = {}
+                for side in order:
+                    seconds, printed[side] = time_call(sides[side], argv)
+                    got[side][argv[0]].append(seconds)
+                if printed["parent"] != printed["change"]:
+                    sys.exit(f"error: `finobs {argv[0]}` prints differently in parent and change")
+    return {"seed": SEED, "clock": "perf_counter", "rounds": CALL_ROUNDS,
+            "warmup_calls_per_side": 1, "subcommands": calls_summary(got)}
+
+
 def serial_section(args):
     got = alternating_children(args)
     out = {}
@@ -284,7 +345,7 @@ def pairs_section(args):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("mode", choices=("serial", "checks", "setup", "pass", "pairs"))
+    parser.add_argument("mode", choices=("serial", "checks", "setup", "pass", "calls", "pairs"))
     parser.add_argument("--parent", required=True)
     parser.add_argument("--change", required=True)
     parser.add_argument("--workload", default="api_batch")
@@ -308,6 +369,8 @@ def main(argv=None):
         doc["setup"] = setup_section(args)
     elif args.mode == "pass":
         doc["pass"] = pass_section(args)
+    elif args.mode == "calls":
+        doc["calls"] = calls_section(args)
     else:
         doc.setdefault("pairs", {})[args.workload] = pairs_section(args)
     path.write_text(json.dumps(doc, indent=1) + "\n")
