@@ -33,6 +33,12 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         raise ValidationError(message)
 
+    # argparse ignores a failed write; flushing lets a closed stdout reach the error mapping
+    def _print_message(self, message, file=None):
+        file = file or sys.stderr
+        file.write(message)
+        file.flush()
+
 
 def _dump(node):
     return serial.dumps_canonical(node) + "\n"

@@ -85,19 +85,19 @@ class PartialLabeling:
     def __post_init__(self):
         raw = self.entries.items() if isinstance(self.entries, dict) else self.entries
         position = self.objects._position
-        slots = [None] * len(self.objects.elements)  # one per object, in sort order
+        placed = {}  # object number -> its entry; sorting these numbers orders the entries
         fibers = {}  # one bit per object carrying each label
         for x, y in raw:
             i = position.get(x, -1)  # -1 also for the distinguished element
             if i < 0:
                 raise ValidationError(f"entry for {x!r} outside the object set")
-            if slots[i] is not None:
+            if i in placed:
                 raise ValidationError(f"object {x!r} labeled twice")
             if y not in self.labels._index:
                 raise ValidationError(f"label {y!r} outside the label set")
-            slots[i] = (x, y)
+            placed[i] = (x, y)
             fibers[y] = fibers.get(y, 0) | 1 << i
-        object.__setattr__(self, "entries", tuple(filter(None, slots)))
+        object.__setattr__(self, "entries", tuple(map(placed.__getitem__, sorted(placed))))
         object.__setattr__(self, "_fibers", tuple(fibers.values()))
 
     def as_dict(self):
@@ -119,17 +119,16 @@ class Scale:
             raise ValidationError("scale must label every object exactly once")
         if any(y not in self.labels.values for y in mapping.values()):
             raise ValidationError("scale uses a label outside the label set")
-        pairs = tuple((x, mapping[x]) for x in self.objects.elements)
-        object.__setattr__(self, "assignment", pairs)
-        number = {}  # label -> block number, fibers numbered in object order after {a}'s 0
-        where = [0] + [number.setdefault(y, len(number) + 1) for _, y in pairs]
-        object.__setattr__(self, "_partition", PartitionPlus._canonical(self.objects, where))
+        values = [mapping[x] for x in self.objects.elements]
+        object.__setattr__(self, "assignment", tuple(zip(self.objects.elements, values)))
+        keys = [object()] + values  # a's key is new, since a label may equal the distinguished id
+        object.__setattr__(self, "_partition", PartitionPlus._canonical(self.objects, keys))
 
 
 @dataclass(frozen=True)
 class PartitionPlus:
     """Partition of X union {a}; blocks ordered by least element, so a's is 0.
-    Only blocks the library builds canonical skip the checks, through `_canonical`."""
+    The constructor checks the blocks; `_canonical` builds the library's own."""
 
     objects: ObjectSet
     blocks: tuple
@@ -137,37 +136,39 @@ class PartitionPlus:
     _where: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        key = self.objects.sort_key
-        norm = []
-        covered = []
-        for block in self.blocks:
-            block = tuple(sorted(block, key=key))
-            if not block:
-                raise ValidationError("empty block")
-            norm.append(block)
-            covered.extend(block)
-        if len(covered) != len(set(covered)):
+        position = self.objects._position
+        given = [None] * len(position)  # the number of each element's block, a's first
+        placed, x = 0, self.objects.distinguished
+        try:
+            for b, block in enumerate(self.blocks):
+                start = placed
+                for x in block:
+                    given[position[x] + 1] = b
+                    placed += 1
+                if placed == start:
+                    raise ValidationError("empty block")
+        except (KeyError, TypeError):
+            self.objects.sort_key(x)  # raises for a stranger x; x stays known when
+            raise  # a block is not iterable, and then its TypeError goes on
+        if placed != len(given) - given.count(None):  # some element was placed twice
             raise ValidationError("blocks overlap")
-        if set(covered) != set(self.objects.universe()):
+        if None in given:
             raise ValidationError("blocks do not cover X plus the distinguished element")
-        norm.sort(key=lambda b: key(b[0]))
-        object.__setattr__(self, "blocks", tuple(norm))
-        where = [0] * len(covered)
-        for i, block in enumerate(norm):
-            for x in block:
-                where[key(x) + 1] = i
-        object.__setattr__(self, "_where", tuple(where))
+        self.__dict__.update(vars(self._canonical(self.objects, given)))
 
     @classmethod
-    def _canonical(cls, objects, where):
-        """Unchecked: `where` numbers the blocks densely by least element, as `_where`."""
-        blocks = [[] for _ in range(max(where) + 1)]
-        for x, b in zip(objects.universe(), where):
+    def _canonical(cls, objects, keys):
+        """Unchecked: `keys[k]` names the block of `objects.universe()[k]`. Blocks
+        numbered by first appearance are ordered by least element, a's first."""
+        number, blocks, where = {}, [], []
+        for x, key in zip(objects.universe(), keys):
+            b = number.setdefault(key, len(blocks))
+            if b == len(blocks):
+                blocks.append([])
             blocks[b].append(x)
+            where.append(b)
         self = object.__new__(cls)
-        for name, value in zip(("objects", "blocks", "_where"),
-                               (objects, tuple(map(tuple, blocks)), tuple(where))):
-            object.__setattr__(self, name, value)
+        self.__dict__.update(objects=objects, blocks=tuple(map(tuple, blocks)), _where=tuple(where))
         return self
 
     def block_index(self):
@@ -248,13 +249,11 @@ def partition_of_family(objects, labels, family):
             for i in _bits(fiber):
                 apart[i] = apart.get(i, 0) | others
     dom = sum(1 << i for i in apart)
-    row = {i: dom & ~apart[i] for i in sorted(apart)}  # i and the objects linked to it
+    row = {i: dom & ~apart[i] for i in sorted(apart)}  # i and its links, never 0: names i's block
     names = objects.elements
-    group, number = {}, {}  # each distinct row -> the objects whose row it is; -> its block
-    where = [0] * (len(names) + 1)  # as `_where`: rows, by first object, follow {a}'s 0
+    group = {}  # each distinct row -> the objects whose row it is
     for i, linked in row.items():
         group[linked] = group.get(linked, 0) | 1 << i
-        where[i + 1] = number.setdefault(linked, len(number) + 1)
     # linking is transitive iff every row is its own group; whether a row
     # holds a witness depends on the row alone, and two rows that hold none
     # are disjoint, so searching each failing row once stays linear
@@ -275,7 +274,7 @@ def partition_of_family(objects, labels, family):
             f"{len(group)} blocks need at least {len(group)} labels, "
             f"have {len(labels.values)}"
         )
-    return PartitionPlus._canonical(objects, where)
+    return PartitionPlus._canonical(objects, [0] + [row.get(i, 0) for i in range(len(names))])
 
 
 def ideal_contains(partition, f):

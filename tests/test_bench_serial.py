@@ -1,11 +1,14 @@
 """The per-metric verdicts of `tools/bench_serial.py pairs`, the
-per-function summary of its `pass` mode and the per-subcommand summary
-of its `calls` mode."""
+per-function summary of its `pass` mode, the per-subcommand summary
+of its `calls` mode and the layers of its `setup` mode."""
 
+import json
+import subprocess
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tools"))
 
 import bench_serial  # noqa: E402
 
@@ -59,3 +62,18 @@ def test_the_calls_summary_keeps_pair_order_and_pools_every_call():
     assert rows["spec"]["change_over_parent"] == 0.9
     assert rows["all"]["parent"]["samples"] == 5 and rows["all"]["change_wins"] == 4
     assert rows["all"]["change"]["median_ms"] == 180.0
+
+
+def test_the_setup_layers_time_both_constructors_where_the_set_up_calls_them():
+    # one set-up at the bench's smoke sizes, in a child as the mode runs it
+    code = ("import json, api_batch, bench_serial\n"
+            "api_batch.SIZES['full'] = api_batch.SIZES['smoke']\n"
+            "print(json.dumps(bench_serial.setup_child()))")
+    out = subprocess.run([sys.executable, "-c", code], env=bench_serial.tree_env(ROOT), cwd=ROOT,
+                         check=True, capture_output=True, text=True).stdout
+    layers = json.loads(out)
+    # the phase builders and the warm-up pass, which hold every constructor call
+    outer = sum(t for name, t in layers.items() if name.startswith("build_") and "/" not in name)
+    for name in ("PartitionPlus.__post_init__", "PartialLabeling.__post_init__"):
+        assert 0.0 < layers[name] < outer + layers["warmup_pass"]
+    assert {"import", "build_measurement", "build_socks/pair_tensor"} <= set(layers)

@@ -1,6 +1,7 @@
 """Tests for partial labelings, orders, and partition codes."""
 
 import time
+import tracemalloc
 from itertools import permutations
 
 import numpy as np
@@ -238,6 +239,41 @@ def test_partition_must_cover_without_overlap():
         PartitionPlus(X3, (("a", "x"), ("x", "y"), ("z",)))
 
 
+@pytest.mark.parametrize("blocks, message", [
+    # per block in order, an unknown object or an empty block comes first ...
+    (((), ("q",), ("a", "x", "y", "z")), "empty block"),
+    ((("a", "z"), ("y", "x"), ()), "empty block"),
+    ((("a",), ("x", "y"), ["q", ["list"]]), "unknown object 'q'"),
+    ((("a",), ("x", "y"), [["list"], "q"]), "unknown object ['list']"),
+    # ... then an overlap, which waits for a later block's stranger ...
+    ((("a", "x"), ("x", "y"), ("q",), ("z",)), "unknown object 'q'"),
+    ((("a", "x"), ("x", "y")), "blocks overlap"),
+    ((("a",), ("x", "x", "y", "z")), "blocks overlap"),
+    ((("a",), ("x", "x", "y")), "blocks overlap"),
+    # ... then an uncovered element
+    ((("a",), ("x", "y")), "blocks do not cover X plus the distinguished element"),
+])
+def test_partition_errors_come_in_a_fixed_order(blocks, message):
+    with pytest.raises(ValidationError) as raised:
+        PartitionPlus(X3, blocks)
+    assert str(raised.value) == message
+
+
+def test_a_labeling_allocates_nothing_per_object():
+    objects = ObjectSet(tuple(f"x{i}" for i in range(10000)), "a")
+    labels = LabelSet(("0", "1"))
+    entries = {"x9999": "0"}
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        f = PartialLabeling(objects, labels, entries)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # its label mask holds one bit per object; a slot per object would take 80 KB
+    assert f.entries == (("x9999", "0"),) and peak < 10_000
+
+
 def test_family_partition_collects_separations():
     family = [lab({"x": 0, "y": 1}), lab({"y": 0})]
     p = partition_of_family(X3, Y2, family)
@@ -450,10 +486,18 @@ def test_ideal_members_agrees_with_ideal_contains():
         ]
         codes = label_codes(labelings)
         assert codes.shape == (len(labelings), nx)
-        for p in all_partitions(objects):
+        maps = [f.as_dict() for f in labelings]
+        for blocks in set_partitions(objects.universe()):
+            p = PartitionPlus(objects, tuple(map(tuple, blocks)))
             mask = ideal_members(p, codes)
             assert mask.dtype == bool
             assert mask.tolist() == [ideal_contains(p, f) for f in labelings]
+            # the definition, on the enumerated blocks: nothing measured in
+            # the absorber's block, one label on each other block
+            assert mask.tolist() == [
+                all(len({d[x] for x in b if x in d}) <= ("a" not in b) for b in blocks)
+                for d in maps
+            ]
             assert ideal_members(p, codes[:0]).shape == (0,)
 
 
@@ -465,13 +509,6 @@ def test_ideal_members_rejects_malformed_codes():
         ideal_members(p, np.zeros((2, 3)))
 
 
-def all_partitions(objects):
-    return [
-        PartitionPlus(objects, tuple(tuple(b) for b in blocks))
-        for blocks in set_partitions(objects.universe())
-    ]
-
-
 def test_scale_partition_and_observability():
     scale = Scale(X3, Y3, {"x": 0, "y": 1, "z": 0})
     p = scale_to_partition(scale)
@@ -481,6 +518,9 @@ def test_scale_partition_and_observability():
     assert not is_observable(p, Y3)
     sharp = Scale(X3, Y3, {"x": 0, "y": 1, "z": 2})
     assert is_observable(scale_to_partition(sharp), Y3)
+    # a label equal to the distinguished id still leaves a alone in its block
+    named = Scale(X3, LabelSet(("a", "b")), {"x": "a", "y": "b", "z": "a"})
+    assert scale_to_partition(named).blocks == (("a",), ("x", "z"), ("y",))
     with pytest.raises(InsufficientLabels):
         is_observable(p, Y2)
 

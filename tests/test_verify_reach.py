@@ -46,6 +46,8 @@ UNREACHED = {
     "FiniteSupportVector.as_dict": "view of the entries, printed by demo 05",
     "SymbolicSubspace.finite": "view of the rows as vectors, read by repr and the tests",
     "PartitionPlus.block_index": "public view of _where, which ideal_contains and ideal_members read",
+    "ObjectSet.sort_key": "public view of the element order; the constructors call it only "
+                          "to name a stranger, which no check feeds them",
     "Polynomial.degree": "view of the coefficients, pinned by the tests",
     "TruncatedFockVector.max_pairs": "view of the truncation, pinned by the tests",
 }

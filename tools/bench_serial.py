@@ -19,9 +19,10 @@ every check.  `setup` times api_batch's set-up layer by layer, in
 SETUP_ROUNDS children per checkout run the same way: the import of the
 bench module, each phase builder that `api_batch.build` calls (at seed
 SEED, full sizes), the `socks.pair_tensor` calls inside the socks phase,
-and the warm-up pass.  The bench's traced child records only the timed
-pass, so this is the layer view of `setup_s`.  `pass` times api_batch's
-timed pass by function (`run_pass(ops, spent)`, at seed SEED, full
+the warm-up pass, and the `PartitionPlus` and `PartialLabeling`
+constructors wherever the set-up calls them.  The bench's traced child
+records only the timed pass, so this is the layer view of `setup_s`.
+`pass` times api_batch's timed pass by function (`run_pass(ops, spent)`, at seed SEED, full
 sizes), in ROUNDS children per checkout run the same way, each making
 one warm-up pass and then REPEATS timed passes: the layer view of
 `op_ref_s`.  `calls` writes the cli_small inputs once
@@ -108,7 +109,7 @@ def setup_child():
     """In a checkout's environment: seconds of each layer of api_batch's set-up."""
     t0 = time.perf_counter()
     import api_batch
-    from finobs import socks
+    from finobs import measurement, socks
 
     spent = {"import": time.perf_counter() - t0}
 
@@ -127,6 +128,8 @@ def setup_child():
             setattr(api_batch, name, timed(f"build{name.removesuffix('_ops')}",
                                            getattr(api_batch, name)))
     socks.pair_tensor = timed("build_socks/pair_tensor", socks.pair_tensor)
+    for cls in (measurement.PartitionPlus, measurement.PartialLabeling):
+        cls.__post_init__ = timed(f"{cls.__name__}.__post_init__", cls.__post_init__)
     ops = api_batch.build(SEED, api_batch.SIZES["full"])
     t0 = time.perf_counter()
     api_batch.run_pass(ops)
