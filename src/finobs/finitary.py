@@ -6,6 +6,7 @@ the eigenvectors; everything else (application, restriction, joint
 diagonalization, functional calculus) is derived from that data.
 """
 
+import functools
 from dataclasses import dataclass
 from itertools import combinations, groupby
 
@@ -20,6 +21,8 @@ from .errors import (
     ValidationError,
 )
 
+JOINT_FAMILIES = 4  # operator lists whose joint decomposition (and operators) `_joint` keeps
+
 
 def _vector_key(v):
     # lexicographic key on rounded components; fixes ordering inside
@@ -29,13 +32,14 @@ def _vector_key(v):
     return tuple(np.column_stack([r, i]).ravel().tolist())
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class EigenSystem:
     """Operator data: `vectors[i]` is the eigenvector for `values[i]`.
 
     Vectors are rows of shape (count, ambient_dim), pairwise orthonormal
     within numeric.ORTH; values are real and finite, stored ascending
     with a deterministic tie-break inside near-degenerate clusters.
+    Immutable, arrays included, so the validated data stays valid.
     """
 
     ambient_dim: int
@@ -43,6 +47,7 @@ class EigenSystem:
     vectors: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "ambient_dim", numeric.integer(self.ambient_dim, "ambient_dim"))
         values = np.atleast_1d(np.asarray(self.values))
         if np.iscomplexobj(values) or not np.isfinite(values).all():
             for value in values.astype(complex).tolist():
@@ -69,8 +74,9 @@ class EigenSystem:
             if len(group) > 1:
                 group = sorted(group, key=lambda j: _vector_key(vectors[j]))
             tie_broken.extend(group)
-        object.__setattr__(self, "values", values[tie_broken])
-        object.__setattr__(self, "vectors", vectors[tie_broken])
+        for name, array in (("values", values[tie_broken]), ("vectors", vectors[tie_broken])):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
     @property
     def count(self):
@@ -236,14 +242,14 @@ def _domains_match(a, b):
 
 
 def _commeasurable_matrices(systems):
-    """Each operator's matrix() if the listed operators are commeasurable, else None."""
+    """Each operator's matrix(); NotCommeasurable unless the operators are commeasurable."""
     if not systems:
         raise ValidationError("need at least one operator")
     d = systems[0].ambient_dim
     if any(s.ambient_dim != d for s in systems):
         raise ValidationError("operators have different ambient dimensions")
     if not all(_domains_match(a, b) for a, b in combinations(systems, 2)):
-        return None
+        raise NotCommeasurable("operators are not commeasurable")
     basis = systems[0].vectors
     dense = [s.matrix() for s in systems]
     # over 2**k, k > 0 where products could overflow: exact, so in range the bits agree
@@ -252,26 +258,23 @@ def _commeasurable_matrices(systems):
     for (a, ma, ca), (b, mb, cb) in combinations(zip(systems, mats, scales), 2):
         residuals = numeric.norm((ma @ mb - mb @ ma) @ basis.T, axis=0)
         if not numeric.within(residuals, numeric.tol_comm(a.norm() * ca, b.norm() * cb, ca * cb)):
-            return None
+            raise NotCommeasurable("operators are not commeasurable")
     return dense
 
 
-def commeasurable(systems):
-    """True when all operators share one domain and commute on it."""
-    return _commeasurable_matrices(list(systems)) is not None
+def _joint_of(systems):
+    """`_joint` of the listed operators, each of which must be an EigenSystem."""
+    systems = tuple(systems)
+    if not all(isinstance(s, EigenSystem) for s in systems):
+        raise ValidationError("every operator must be an EigenSystem")
+    return _joint(systems)
 
 
-def joint_eigensystem(systems):
-    """Joint orthonormal eigenbasis of commeasurable operators.
-
-    Returns a list of (vector, values) with one eigenvalue per operator,
-    obtained by recursively splitting eigenspaces.  Near-degenerate
-    eigenvalues are clustered at numeric.tol_dedup of the value scale.
-    """
-    systems = list(systems)
+@functools.lru_cache(maxsize=JOINT_FAMILIES)  # keyed on identity: EigenSystem has eq=False
+def _joint(systems):
+    """Read-only joint eigenvectors (rows) and one value tuple per row of the
+    commeasurable operators in the tuple `systems`; else NotCommeasurable."""
     mats = _commeasurable_matrices(systems)
-    if mats is None:
-        raise NotCommeasurable("operators are not commeasurable")
     blocks = [systems[0].vectors]
     for system, m in zip(systems, mats):
         td = numeric.tol_dedup(system.norm())
@@ -294,7 +297,29 @@ def joint_eigensystem(systems):
     for _, run in groupby(keyed, key=lambda item: item[0]):  # stable: ties go on to vector keys
         run = [(v, tup) for _, v, tup in run]
         out += sorted(run, key=lambda item: _vector_key(item[0])) if len(run) > 1 else run
-    return out
+    vectors = np.array([v for v, _ in out], dtype=complex).reshape(len(out), systems[0].ambient_dim)
+    vectors.setflags(write=False)  # shared by every call on this operator list
+    return vectors, tuple(tup for _, tup in out)
+
+
+def commeasurable(systems):
+    """True when all operators share one domain and commute on it."""
+    try:
+        _joint_of(systems)
+    except NotCommeasurable:
+        return False
+    return True
+
+
+def joint_eigensystem(systems):
+    """Joint orthonormal eigenbasis of commeasurable operators.
+
+    Returns a new list of (vector, values) with one eigenvalue per operator,
+    obtained by recursively splitting eigenspaces.  Near-degenerate
+    eigenvalues are clustered at numeric.tol_dedup of the value scale.
+    The vectors are read-only; calls on one operator list share them.
+    """
+    return list(zip(*_joint_of(systems)))
 
 
 def functional_calculus(func, systems):
@@ -357,12 +382,10 @@ def joint_generator(systems):
     basis position; the tables send each beta value to the matching
     eigenvalue of A_i.
     """
-    joint = joint_eigensystem(systems)
-    d = systems[0].ambient_dim
-    beta = np.arange(len(joint), dtype=float)
-    vectors = np.array([v for v, _ in joint]).reshape(len(joint), d)
-    generator = EigenSystem(d, beta, vectors)
-    return generator, [{float(b): joint[int(b)][1][i] for b in beta} for i in range(len(systems))]
+    vectors, tuples = _joint_of(systems)
+    beta = np.arange(len(tuples), dtype=float)
+    generator = EigenSystem(vectors.shape[1], beta, vectors)
+    return generator, [{float(b): tuples[int(b)][i] for b in beta} for i in range(len(systems))]
 
 
 def table_function(table):

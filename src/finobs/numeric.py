@@ -16,6 +16,8 @@ import math
 
 import numpy as np
 
+from .errors import ValidationError
+
 HERMITIAN = 1e-9  # largest |M - M*| entry of a Hermitian matrix
 REAL = 1e-12  # imaginary part of a real eigenvalue or tail, per unit of 1 + |value|
 ORTH = 1e-9  # largest |V V* - I| entry of orthonormal rows
@@ -57,6 +59,13 @@ def tol_comm(norm_a, norm_b, scale=1.0):
 
 def tol_dedup(value_scale):
     return DEDUP * (1.0 + float(value_scale))
+
+
+def integer(value, what):
+    """`value` as an int; a bool, float, str or other non-integer fails closed."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 def within(residual, tol):

@@ -22,13 +22,6 @@ MAX_PAIRS_TENSOR = 16
 MAX_PAIRS_FOCK = 32
 
 
-def _integer(value, what):
-    """`value` as an int; a bool, float, str or other non-integer fails closed."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValidationError(f"{what} must be an integer, got {value!r}")
-    return int(value)
-
-
 @dataclass(frozen=True)
 class PairVector:
     """Element of the zero-sum line over pair `pair`; value at the a sock."""
@@ -37,7 +30,7 @@ class PairVector:
     a_value: complex
 
     def __post_init__(self):
-        if _integer(self.pair, "pair index") < 0:
+        if numeric.integer(self.pair, "pair index") < 0:
             raise ValidationError("pair index must be nonnegative")
         object.__setattr__(self, "a_value", complex(self.a_value))
         if not cmath.isfinite(self.a_value):
@@ -63,8 +56,8 @@ class ChoiceFunction:
     bits: tuple
 
     def __post_init__(self):
-        bits = tuple(_integer(b, "bit") for b in self.bits)
-        if len(bits) != _integer(self.length, "length") or any(b not in (0, 1) for b in bits):
+        bits = tuple(numeric.integer(b, "bit") for b in self.bits)
+        if len(bits) != numeric.integer(self.length, "length") or any(b not in (0, 1) for b in bits):
             raise ValidationError("bits must be 0/1 of the stated length")
         object.__setattr__(self, "bits", bits)
 
@@ -78,7 +71,7 @@ class ChoiceFunction:
 
     @classmethod
     def from_index(cls, length, index):
-        if not 0 <= _integer(index, "index") < (1 << _integer(length, "length")):
+        if not 0 <= numeric.integer(index, "index") < (1 << numeric.integer(length, "length")):
             raise ValidationError(f"index {index} out of range for length {length}")
         bits = tuple((index >> (length - 1 - i)) & 1 for i in range(length))
         return cls(length, bits)
@@ -87,7 +80,7 @@ class ChoiceFunction:
 @functools.lru_cache(maxsize=MAX_PAIRS_TENSOR + 1, typed=True)  # typed: 2.0 never hits 2
 def alternation_signs(n):
     """Signs of the 2^N choice functions in index order: -1 at an odd count of b socks."""
-    if not 0 <= _integer(n, "pair count") <= MAX_PAIRS_TENSOR:
+    if not 0 <= numeric.integer(n, "pair count") <= MAX_PAIRS_TENSOR:
         raise ValidationError(f"pair count must be in 0..{MAX_PAIRS_TENSOR}")
     signs = np.ones(1 << n)
     for k in range(n):  # setting bit k adds one b sock
@@ -109,7 +102,7 @@ class SignedTensor:
     table: np.ndarray
 
     def __post_init__(self):
-        self.length = _integer(self.length, "tensor length")  # an int: one signs table per N
+        self.length = numeric.integer(self.length, "tensor length")  # an int: one signs table per N
         if not 0 <= self.length <= MAX_PAIRS_TENSOR:
             raise ValidationError(f"tensor length must be in 0..{MAX_PAIRS_TENSOR}")
         table = np.asarray(self.table, dtype=complex).reshape(-1)
@@ -189,7 +182,7 @@ class TruncatedFockVector:
 
 def fock_basis_vector(n, max_pairs):
     """The generator u_n inside a truncation with components 0..max_pairs."""
-    if not 0 <= _integer(n, "generator index") <= _integer(max_pairs, "max_pairs"):
+    if not 0 <= numeric.integer(n, "generator index") <= numeric.integer(max_pairs, "max_pairs"):
         raise ValidationError(f"generator index {n} outside 0..{max_pairs}")
     coeffs = np.zeros(max_pairs + 1, dtype=complex)
     coeffs[n] = 1.0
@@ -198,7 +191,7 @@ def fock_basis_vector(n, max_pairs):
 
 def generator_tensor(n):
     """u_n in tensor form: the product of pair vectors with value 1/sqrt2."""
-    return pair_tensor([PairVector(i, 1.0 / np.sqrt(2.0)) for i in range(_integer(n, "n"))])
+    return pair_tensor([PairVector(i, 1.0 / np.sqrt(2.0)) for i in range(numeric.integer(n, "n"))])
 
 
 def apply_diagonal(diag, v):
@@ -218,7 +211,7 @@ class FlipAction:
     pairs: frozenset
 
     def __post_init__(self):
-        pairs = frozenset(_integer(p, "pair index") for p in self.pairs)
+        pairs = frozenset(numeric.integer(p, "pair index") for p in self.pairs)
         if any(p < 0 for p in pairs):
             raise ValidationError("pair indices must be nonnegative")
         object.__setattr__(self, "pairs", pairs)

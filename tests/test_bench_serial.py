@@ -1,7 +1,9 @@
 """The per-metric verdicts of `tools/bench_serial.py pairs`, the
 per-function summary of its `pass` mode, the per-subcommand summary
-of its `calls` mode and the layers of its `setup` mode."""
+of its `calls` mode, the layers of its `setup` mode and its
+garbage-collection timer."""
 
+import gc
 import json
 import subprocess
 import sys
@@ -77,3 +79,35 @@ def test_the_setup_layers_time_both_constructors_where_the_set_up_calls_them():
     for name in ("PartitionPlus.__post_init__", "PartialLabeling.__post_init__"):
         assert 0.0 < layers[name] < outer + layers["warmup_pass"]
     assert {"import", "build_measurement", "build_socks/pair_tensor"} <= set(layers)
+    # each layer's collection seconds lie inside it
+    for name, t in layers.items():
+        if not name.startswith("gc/"):
+            assert 0.0 <= layers[f"gc/{name}"] <= t
+
+
+def test_the_gc_timer_splits_a_collection_out_of_the_call_it_ran_in():
+    callbacks = list(gc.callbacks)
+    try:
+        spent, clock = {}, bench_serial.gc_clock()
+        collect = bench_serial.gc_timed("collect", gc.collect, spent, clock)
+        collect()
+        bench_serial.gc_timed("idle", lambda: None, spent, clock)()
+    finally:
+        gc.callbacks[:] = callbacks
+    assert 0.0 < spent["gc/collect"] <= spent["collect"]
+    assert spent["gc/idle"] == 0.0 < spent["idle"]
+
+
+def test_the_pass_summary_reports_collection_time_beside_each_row():
+    def child(pause):
+        return [{"flip": 0.010 + pause, "gc/flip": pause, "tensor_inner": 0.020,
+                 "gc/tensor_inner": 0.0} for _ in range(3)]
+
+    rows = bench_serial.pass_summary({"parent": [child(0.012)], "change": [child(0.0)]})
+    assert list(rows) == ["flip", "tensor_inner", "all"]
+    assert rows["flip"]["parent"]["gc_median_ms"] == 12.0
+    assert rows["flip"]["parent"]["net_median_ms"] == rows["flip"]["change"]["net_median_ms"]
+    assert rows["flip"]["net_change_over_parent"] == 1.0
+    assert rows["flip"]["change_over_parent"] == round(10 / 22, 3)
+    assert rows["all"]["parent"]["gc_median_ms"] == 12.0
+    assert rows["all"]["parent"]["net_median_ms"] == 30.0

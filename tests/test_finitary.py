@@ -1,11 +1,13 @@
 """Eigen-data operators: construction, calculus, joint diagonalization."""
 
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 
-from finobs import numeric
+from finobs import finitary, numeric, serial
+from finobs.dynamics import complementarity_pair
 from finobs.errors import (
     NotCommeasurable,
     NotInvariant,
@@ -219,10 +221,14 @@ def test_joint_eigensystem_tuples():
 
 
 def test_joint_eigensystem_needs_commuting_operators():
+    finitary._joint.cache_clear()
     a = diag_system(1.0, 2.0)
     flip = diagonalize(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    with pytest.raises(NotCommeasurable):
-        joint_eigensystem([a, flip])
+    for _ in range(2):  # exceptions are not cached: every call decides again
+        with pytest.raises(NotCommeasurable):
+            joint_eigensystem([a, flip])
+        assert not commeasurable([a, flip])
+    assert finitary._joint.cache_info().currsize == 0
 
 
 def _reference_joint(systems):
@@ -394,3 +400,79 @@ def test_table_function_lookup():
     assert f(1.0 + 1e-7) == 9.0
     with pytest.raises(ValidationError):
         f(0.5)
+
+
+def _built_every_way():
+    """One EigenSystem from each public path that builds one."""
+    a, b = diag_system(1.0, 1.0, 2.0), diag_system(3.0, 4.0, 4.0)
+    s_sys, t_sys = complementarity_pair(5, [1.0, 2.0])
+    return {
+        "diagonalize": diagonalize(np.array([[2.0, 1.0], [1.0, 2.0]])),
+        "from_eigenpairs": a,
+        "restrict": restrict(a, [E0, E1]),
+        "functional_calculus": functional_calculus(lambda s, t: s * t, [a, b]),
+        "joint_generator": joint_generator([a, b])[0],
+        "complementarity_pair/S": s_sys,
+        "complementarity_pair/T": t_sys,
+        "serial": serial.loads_value("eigensystem", serial.dumps_value("eigensystem", a)),
+    }
+
+
+def test_every_eigensystem_is_frozen_and_its_arrays_read_only():
+    for path, system in _built_every_way().items():
+        for name in ("ambient_dim", "values", "vectors"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(system, name, getattr(system, name))
+        with pytest.raises(ValueError, match="read-only"):
+            system.values[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            system.vectors[0, 0] = 0.0
+        assert type(system.ambient_dim) is int, path
+
+
+def test_joint_vectors_are_read_only_and_each_call_gets_a_new_list():
+    a, b = diag_system(1.0, 1.0, 2.0), diag_system(3.0, 4.0, 4.0)
+    first, second = joint_eigensystem([a, b]), joint_eigensystem([a, b])
+    assert first is not second and [t for _, t in first] == [t for _, t in second]
+    first.pop()
+    assert len(joint_eigensystem([a, b])) == 3
+    with pytest.raises(ValueError, match="read-only"):
+        second[0][0][0] = 5.0
+
+
+def test_cold_and_warm_functional_calculus_dump_the_same_bytes():
+    rng = np.random.default_rng(7)
+    basis, _ = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+    systems = [_on_basis(basis, values) for values in _PATTERNS[3]]
+    finitary._joint.cache_clear()
+    cold = functional_calculus(lambda s, t, u: s * t - u, systems)
+    warm = functional_calculus(lambda s, t, u: s * t - u, systems)
+    assert finitary._joint.cache_info()[:2] == (1, 1)  # (hits, misses)
+    assert cold is not warm and cold.vectors is not warm.vectors
+    assert serial.dumps_value("eigensystem", cold) == serial.dumps_value("eigensystem", warm)
+
+
+def test_equal_but_distinct_operator_lists_do_not_share_joint_data():
+    finitary._joint.cache_clear()
+    a, twin = diag_system(1.0, 2.0), diag_system(1.0, 2.0)
+    (va, _), (vt, _) = joint_eigensystem([a])[0], joint_eigensystem([twin])[0]
+    assert finitary._joint.cache_info()[:2] == (0, 2)  # (hits, misses)
+    assert va.tobytes() == vt.tobytes() and not np.shares_memory(va, vt)
+
+
+def test_the_joint_cache_never_holds_more_than_its_bound():
+    finitary._joint.cache_clear()
+    assert finitary._joint.cache_info().maxsize == finitary.JOINT_FAMILIES
+    for k in range(3 * finitary.JOINT_FAMILIES):
+        assert commeasurable([diag_system(1.0, 2.0 + k), diag_system(3.0, 3.0)])
+        assert finitary._joint.cache_info().currsize == min(k + 1, finitary.JOINT_FAMILIES)
+
+
+@pytest.mark.parametrize("member", [np.eye(2), [[1.0, 0.0], [0.0, 2.0]], None],
+                         ids=["ndarray", "list", "None"])
+def test_a_member_that_is_not_an_eigensystem_is_a_validation_error(member):
+    a = diag_system(1.0, 2.0)
+    for call in (commeasurable, joint_eigensystem, joint_generator,
+                 lambda systems: functional_calculus(lambda s, t: s + t, systems)):
+        with pytest.raises(ValidationError, match="every operator must be an EigenSystem"):
+            call([a, member])

@@ -187,8 +187,9 @@ def test_intersect_rows_keeps_only_shared_directions():
 
 
 def _spoiled(monkeypatch, obj, name, value):
-    """`obj` with `name` set to `value` after its constructor checked it."""
-    monkeypatch.setattr(obj, name, np.asarray(value, dtype=complex))
+    """`obj` with `name` set to `value` after its constructor checked it, past
+    a frozen dataclass's guard too (`obj` is the caller's own fresh object)."""
+    object.__setattr__(obj, name, np.asarray(value, dtype=complex))
     return obj
 
 

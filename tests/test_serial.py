@@ -155,6 +155,20 @@ def test_eigensystem_loader_restores_canonical_order():
     assert list(system.values) == [1.0, 3.0]
 
 
+@pytest.mark.parametrize("dim", [1, np.int64(1), np.uint8(1), True, 1.0, np.float64(1.0), "1"],
+                         ids=repr)
+def test_an_eigensystem_dimension_round_trips_or_is_refused(dim):
+    try:
+        system = finitary.EigenSystem(dim, [2.0], [[1.0]])
+    except ValidationError as exc:
+        assert not isinstance(dim, (int, np.integer)) or isinstance(dim, bool)
+        assert str(exc).startswith("ambient_dim must be an integer")
+        return
+    text = dumps_value("eigensystem", system)
+    assert type(system.ambient_dim) is int and '"ambient_dim": 1,' in text
+    assert dumps_value("eigensystem", loads_value("eigensystem", text)) == text
+
+
 @pytest.mark.parametrize(
     "kind,text,pointer",
     [

@@ -22,10 +22,16 @@ SEED, full sizes), the `socks.pair_tensor` calls inside the socks phase,
 the warm-up pass, and the `PartitionPlus` and `PartialLabeling`
 constructors wherever the set-up calls them.  The bench's traced child
 records only the timed pass, so this is the layer view of `setup_s`.
-`pass` times api_batch's timed pass by function (`run_pass(ops, spent)`, at seed SEED, full
+`pass` times api_batch's timed pass by function (each op's call, summed by
+the function name `run_pass(ops, spent)` uses, at seed SEED, full
 sizes), in ROUNDS children per checkout run the same way, each making
 one warm-up pass and then REPEATS timed passes: the layer view of
-`op_ref_s`.  `calls` writes the cli_small inputs once
+`op_ref_s`.  In `setup` and `pass` a `gc.callbacks` timer also takes the
+garbage-collection time inside each row (`gc/<row>` in a child's record),
+and each side reports its median (`gc_median_ms`) and the median of the
+row's time less it (`net_median_ms`) beside the row: a collection pause
+lands in whichever row allocates past the threshold, not in the row that
+made the garbage.  `calls` writes the cli_small inputs once
 (`bench/cli_inputs.write` at seed SEED, from C) and times
 `python -m finobs <argv>` for each of the ten subcommands, CALL_ROUNDS
 times per checkout after one warm-up call each, alternating which
@@ -39,6 +45,7 @@ Each merges its section into the output file.
 """
 
 import argparse
+import gc
 import json
 import os
 import platform
@@ -105,22 +112,45 @@ def checks_child():
     return out
 
 
+def gc_clock():
+    """A function giving the seconds garbage collection has taken since this call."""
+    spent, started = [0.0], [0.0]
+
+    def callback(phase, info):
+        if phase == "start":
+            started[0] = time.perf_counter()
+        else:
+            spent[0] += time.perf_counter() - started[0]
+
+    gc.callbacks.append(callback)
+    return lambda: spent[0]
+
+
+def gc_timed(key, fn, spent, clock):
+    """`fn`, adding the seconds of each call to spent[key] and the collection
+    seconds inside it (`clock` is a `gc_clock()`) to spent[f"gc/{key}"]."""
+    def call(*args):
+        t0, g0 = time.perf_counter(), clock()
+        try:
+            return fn(*args)
+        finally:
+            spent[key] = spent.get(key, 0.0) + time.perf_counter() - t0
+            spent[f"gc/{key}"] = spent.get(f"gc/{key}", 0.0) + clock() - g0
+    return call
+
+
 def setup_child():
-    """In a checkout's environment: seconds of each layer of api_batch's set-up."""
+    """In a checkout's environment: seconds of each layer of api_batch's set-up,
+    and under `gc/<layer>` the collection seconds inside it."""
+    clock = gc_clock()
     t0 = time.perf_counter()
     import api_batch
     from finobs import measurement, socks
 
-    spent = {"import": time.perf_counter() - t0}
+    spent = {"import": time.perf_counter() - t0, "gc/import": clock()}
 
     def timed(key, fn):
-        def call(*args):
-            t0 = time.perf_counter()
-            try:
-                return fn(*args)
-            finally:
-                spent[key] = spent.get(key, 0.0) + time.perf_counter() - t0
-        return call
+        return gc_timed(key, fn, spent, clock)
 
     # the phase builders are the module functions build calls by name
     for name in api_batch.build.__code__.co_names:
@@ -131,22 +161,24 @@ def setup_child():
     for cls in (measurement.PartitionPlus, measurement.PartialLabeling):
         cls.__post_init__ = timed(f"{cls.__name__}.__post_init__", cls.__post_init__)
     ops = api_batch.build(SEED, api_batch.SIZES["full"])
-    t0 = time.perf_counter()
-    api_batch.run_pass(ops)
-    spent["warmup_pass"] = time.perf_counter() - t0
+    timed("warmup_pass", api_batch.run_pass)(ops)
     return spent
 
 
 def pass_child():
-    """In a checkout's environment: seconds of each function in each timed api_batch pass."""
+    """In a checkout's environment: seconds of each function in each timed api_batch
+    pass, and under `gc/<function>` the collection seconds inside it."""
     import api_batch
 
     ops = api_batch.build(SEED, api_batch.SIZES["full"])
+    clock, spent = gc_clock(), {}
+    for op in ops:  # keyed by function name, as `run_pass(ops, spent)` keys its times
+        op.call = gc_timed(op.name.split("/")[0], op.call, spent, clock)
     runs = []
     for _ in range(REPEATS + 1):  # the first run is the warm-up
-        spent = {}
-        api_batch.run_pass(ops, spent)
-        runs.append(spent)
+        spent.clear()
+        api_batch.run_pass(ops)
+        runs.append(dict(spent))
     return runs[1:]
 
 
@@ -176,6 +208,22 @@ def run_child(tree, func="child", *args):
 def summary(values):
     return {"median_ms": round(statistics.median(values) * 1e3, 3),
             "min_ms": round(min(values) * 1e3, 3), "samples": len(values)}
+
+
+def layer_row(times, gc_times=None):
+    """Each side's summary of its `times` and the change's median over the
+    parent's; with `gc_times`, the collection seconds inside each sample, also
+    each side's median of them and of the times net of them, and the net ratio."""
+    row = {side: summary(t) for side, t in times.items()}
+    if gc_times:
+        for side, t in times.items():
+            net = [a - b for a, b in zip(t, gc_times[side])]
+            row[side].update(gc_median_ms=round(statistics.median(gc_times[side]) * 1e3, 3),
+                             net_median_ms=round(statistics.median(net) * 1e3, 3))
+        row["net_change_over_parent"] = round(
+            row["change"]["net_median_ms"] / row["parent"]["net_median_ms"], 3)
+    row["change_over_parent"] = round(row["change"]["median_ms"] / row["parent"]["median_ms"], 3)
+    return row
 
 
 def alternating_children(args, func="child", rounds=ROUNDS):
@@ -213,10 +261,12 @@ def setup_section(args):
     got = alternating_children(args, "setup_child", SETUP_ROUNDS)
     layers = {}
     for name in got["parent"][0]:
-        times = {side: [child[name] for child in children] for side, children in got.items()}
-        row = {side: summary(t) for side, t in times.items()}
+        if name.startswith("gc/"):
+            continue
+        times, gc_times = ({side: [child[key] for child in children]
+                            for side, children in got.items()} for key in (name, f"gc/{name}"))
+        row = layer_row(times, gc_times)
         row["change_wins"] = sum(c < p for p, c in zip(times["parent"], times["change"]))
-        row["change_over_parent"] = round(row["change"]["median_ms"] / row["parent"]["median_ms"], 3)
         layers[name] = row
     return {"seed": SEED, "sizes": "full", "clock": "perf_counter",
             "children_per_side": SETUP_ROUNDS, "layers": layers}
@@ -225,14 +275,24 @@ def setup_section(args):
 def pass_summary(got):
     """Per function of the pass, and for the whole pass (`all`), each side's median
     and minimum over every timed pass of every child, and the change's median
-    over the parent's; `got` holds each side's children, each a list of passes."""
-    runs = {side: [dict(run, all=sum(run.values())) for child in children for run in child]
+    over the parent's, with the collection columns of `layer_row` where the
+    passes hold `gc/` times; `got` holds each side's children, each a list of passes."""
+    def whole(run):  # the pass as `all`, and its collection seconds as `gc/all` if timed
+        out = dict(run, all=0.0)
+        for name, t in run.items():
+            key = "gc/all" if name.startswith("gc/") else "all"
+            out[key] = out.get(key, 0.0) + t
+        return out
+
+    runs = {side: [whole(run) for child in children for run in child]
             for side, children in got.items()}
     functions = {}
     for name in runs["parent"][0]:
-        row = {side: summary([run[name] for run in side_runs]) for side, side_runs in runs.items()}
-        row["change_over_parent"] = round(row["change"]["median_ms"] / row["parent"]["median_ms"], 3)
-        functions[name] = row
+        if name.startswith("gc/"):
+            continue
+        times, gc_times = ({side: [run.get(key, 0.0) for run in side_runs]
+                            for side, side_runs in runs.items()} for key in (name, f"gc/{name}"))
+        functions[name] = layer_row(times, gc_times if f"gc/{name}" in runs["parent"][0] else None)
     return functions
 
 
@@ -251,9 +311,8 @@ def calls_summary(got):
     for name in [*got["parent"], "all"]:
         times = {side: sum(calls.values(), []) if name == "all" else calls[name]
                  for side, calls in got.items()}
-        row = {side: summary(t) for side, t in times.items()}
+        row = layer_row(times)
         row["change_wins"] = sum(c < p for p, c in zip(times["parent"], times["change"]))
-        row["change_over_parent"] = round(row["change"]["median_ms"] / row["parent"]["median_ms"], 3)
         rows[name] = row
     return rows
 
