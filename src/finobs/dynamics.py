@@ -65,12 +65,11 @@ def propagator(system, t):
 
 
 def _spectral_projectors(system):
-    """Pairs (value, projector) grouped over near-degenerate clusters."""
+    """Yield (value, projector) per near-degenerate cluster, one d x d projector at a time."""
     values, vectors = system.values, system.vectors
-    return [
-        (float(np.mean(values[start:stop])), vectors[start:stop].T @ vectors[start:stop].conj())
-        for start, stop in system.clusters()
-    ]
+    for start, stop in system.clusters():
+        block = vectors[start:stop]
+        yield float(np.mean(values[start:stop])), block.T @ block.conj()
 
 
 def _density_on(system, rho, use):
@@ -105,7 +104,7 @@ def compress_state(system, rho):
     for _, proj in _spectral_projectors(system):
         weight = float(np.trace(proj @ rho).real)
         dim = int(round(np.trace(proj).real))
-        out = out + (weight / dim) * proj
+        out += (weight / dim) * proj
     return out
 
 

@@ -114,8 +114,11 @@ def diagonalize(m):
     m = check_hermitian(m)
     w, v = np.linalg.eigh(m)
     system = EigenSystem(m.shape[0], w, v.T)
+    del w, v  # the system holds its own copies
     vectors = system.vectors.T
-    resid = np.max(numeric.norm(m @ vectors - vectors * system.values, axis=0), initial=0.0)
+    image = m @ vectors
+    image -= vectors * system.values
+    resid = np.max(numeric.norm(image, axis=0), initial=0.0)
     if not numeric.within(resid, numeric.tol_eig(system.norm())):
         raise ToleranceError(f"eigen residual {resid:.3e} out of tolerance")
     return system
@@ -208,8 +211,11 @@ def orbit_span_dim(m, x, cap):
 def _eigh_on(compressed, basis):
     """Eigenvalues of the Hermitian part of `compressed`, an operator on the
     span of the rows `basis`, and its eigenvectors as rows of the ambient space."""
+    k = numeric.scale_exponent(compressed)  # over 2**k, exact, so the sum cannot overflow
+    if k:
+        compressed = compressed * 2.0**-k
     w, u = np.linalg.eigh((compressed + compressed.conj().T) / 2.0)
-    return w, u.T @ basis
+    return w * 2.0**k, u.T @ basis
 
 
 def restrict(system, span_vectors):

@@ -1,10 +1,11 @@
 """The per-metric verdicts of `tools/bench_serial.py pairs`, the
 per-function summary of its `pass` mode, the per-subcommand summary
-of its `calls` mode, the layers of its `setup` mode and its
-garbage-collection timer."""
+of its `calls` mode, the layers of its `setup` mode, the per-op peaks of
+its `memory` mode, the per-child records and its garbage-collection timer."""
 
 import gc
 import json
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -83,6 +84,49 @@ def test_the_setup_layers_time_both_constructors_where_the_set_up_calls_them():
     for name, t in layers.items():
         if not name.startswith("gc/"):
             assert 0.0 <= layers[f"gc/{name}"] <= t
+    # the child's record, as `per_child` keeps it, in ms
+    kept = bench_serial.per_child({"parent": [layers], "change": []}, lambda t: t)
+    assert kept["parent"] == [{name: round(t * 1e3, 3) for name, t in layers.items()}]
+    assert kept["change"] == []
+
+
+def test_per_child_keeps_each_childs_rows_in_run_order():
+    got = {"parent": [{"flip": [0.010, 0.012, 0.011]}, {"flip": [0.020, 0.024, 0.022]}],
+           "change": [{"flip": [0.009, 0.010, 0.011]}, {"flip": [0.010, 0.010, 0.010]}]}
+    kept = bench_serial.per_child(got, statistics.median)
+    # the parent's second child read slow: its record shows it
+    assert kept == {"parent": [{"flip": 11.0}, {"flip": 22.0}],
+                    "change": [{"flip": 10.0}, {"flip": 10.0}]}
+
+
+def test_the_memory_child_takes_a_peak_for_every_op_of_a_pass():
+    # one child at the bench's smoke sizes, as the mode runs it
+    code = ("import json, api_batch, bench_serial\n"
+            "api_batch.SIZES['full'] = api_batch.SIZES['smoke']\n"
+            "ops = api_batch.build(bench_serial.SEED, api_batch.SIZES['smoke'])\n"
+            "print(json.dumps([[op.name for op in ops], bench_serial.memory_child()]))")
+    out = subprocess.run([sys.executable, "-c", code], env=bench_serial.tree_env(ROOT), cwd=ROOT,
+                         check=True, capture_output=True, text=True).stdout
+    ops, child = json.loads(out)
+    assert list(child["peaks"]) == ops
+    assert all(peak >= 0 for peak in child["peaks"].values())
+    # a compressed density of dim 8 holds at least one 8 x 8 complex matrix
+    assert child["peaks"]["compress_state/8"] >= 8 * 8 * 16
+    assert child["rss_mb"] > 10.0
+
+
+def test_the_memory_summary_reads_peaks_in_kb_and_keeps_each_childs_rss():
+    def child(compress, rss):
+        return {"rss_mb": rss, "peaks": {"compress_state/8": compress, "flip/6": 0}}
+
+    got = {"parent": [child(4096, 100.0), child(4096, 101.0), child(6144, 100.5)],
+           "change": [child(1024, 94.0), child(1024, 95.0), child(1024, 94.5)]}
+    summary = bench_serial.memory_summary(got)
+    assert summary["peak_kb"]["compress_state/8"] == {
+        "parent": 4.0, "change": 1.0, "change_over_parent": 0.25}
+    assert summary["peak_kb"]["flip/6"]["change_over_parent"] is None
+    assert summary["rss"]["parent"] == {"median_mb": 100.5, "per_child_mb": [100.0, 101.0, 100.5]}
+    assert summary["rss"]["change"]["median_mb"] == 94.5
 
 
 def test_the_gc_timer_splits_a_collection_out_of_the_call_it_ran_in():

@@ -1,5 +1,6 @@
 """Evolution, expectations, concatenation, and the uncertainty pair."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -129,6 +130,34 @@ def test_compress_state_keeps_operator_statistics():
         )
     # inside the degenerate eigenspace the weight is spread uniformly
     assert sigma[0, 0] == pytest.approx(sigma[1, 1])
+
+
+def test_statistics_hold_one_spectral_projector_at_a_time():
+    d = 48
+    rng = np.random.default_rng(11)
+    basis, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    system = from_eigenpairs(zip(np.arange(d, dtype=float), basis.T), d)  # d distinct values
+    psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    psi /= np.linalg.norm(psi)
+    rho = np.outer(psi, psi.conj())
+    # the d projectors of a list would take d * d^2 entries
+    bound = 8 * d * d * np.dtype(complex).itemsize
+    results, peaks = {}, {}
+    for name, call in (("compress", lambda: compress_state(system, rho)),
+                       ("expect", lambda: expectation(lambda t: t * t, system, rho))):
+        tracemalloc.start()
+        try:
+            results[name] = call()
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert max(peaks.values()) < bound, peaks
+    sigma = check_density(results["compress"])
+    m = system.matrix()
+    assert np.allclose(m @ sigma, sigma @ m)
+    for func in (lambda t: t, lambda t: t * t, np.cos):
+        assert expectation(func, system, sigma) == pytest.approx(expectation(func, system, rho))
+    assert results["expect"] == pytest.approx(float(np.trace(m @ m @ rho).real))
 
 
 def test_concatenate_commuting_pair_adds_phases():

@@ -210,6 +210,25 @@ def test_commeasurable_decides_huge_commuting_operators_without_overflow():
     assert sorted(values for _, values in joint) == [(1.0, 2.0), (1e200, 1e200)]
 
 
+def test_a_joint_decomposition_near_the_float_limit_scales_before_symmetrizing():
+    c, s = np.cos(0.3), np.sin(0.3)
+
+    def huge():  # a new operator per call, so each call decomposes it afresh
+        return from_eigenpairs([(1.5e308, np.array([c, s])), (1.0, np.array([-s, c]))], 2)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # c + c* of the compressed matrix overflowed
+        assert commeasurable([huge()])
+        a = huge()
+        joint = joint_eigensystem([a])
+        calculus = functional_calculus(lambda x: min(x, 2.0), [huge()])
+    small, large = sorted(values[0] for _, values in joint)
+    assert abs(large - 1.5e308) <= numeric.tol_eig(1.5e308)
+    # Rayleigh-quotient noise at this norm is far above 1.0, but inside the tolerance
+    assert abs(small - 1.0) <= numeric.tol_eig(a.norm())
+    assert calculus.values.tolist() == [2.0, 2.0]
+
+
 def test_joint_eigensystem_tuples():
     a = diag_system(1.0, 1.0, 2.0)
     b = diag_system(3.0, 4.0, 4.0)

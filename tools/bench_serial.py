@@ -5,6 +5,7 @@
     python3 tools/bench_serial.py setup --parent P --change C [-o BENCH_serial.json]
     python3 tools/bench_serial.py pass --parent P --change C [-o BENCH_serial.json]
     python3 tools/bench_serial.py calls --parent P --change C [-o BENCH_serial.json]
+    python3 tools/bench_serial.py memory --parent P --change C [-o BENCH_serial.json]
     python3 tools/bench_serial.py pairs --parent P --change C
         --workload W --seeds S1,S2,... [-o BENCH_serial.json]
 
@@ -31,7 +32,14 @@ garbage-collection time inside each row (`gc/<row>` in a child's record),
 and each side reports its median (`gc_median_ms`) and the median of the
 row's time less it (`net_median_ms`) beside the row: a collection pause
 lands in whichever row allocates past the threshold, not in the row that
-made the garbage.  `calls` writes the cli_small inputs once
+made the garbage.  `checks` and `setup` also keep each child's rows
+(`per_child`, each side's children in the order they ran), so a run in which
+one side's children all read slow can be told from a change.  `memory`
+runs ROUNDS children per checkout the same way; each builds api_batch's
+ops (seed SEED, full sizes), makes the warm-up pass, reads its
+`ru_maxrss`, and then takes each op's transient `tracemalloc` peak (bytes
+above what was held when the op started) over one more pass: the layer
+view of `peak_rss_mb`.  `calls` writes the cli_small inputs once
 (`bench/cli_inputs.write` at seed SEED, from C) and times
 `python -m finobs <argv>` for each of the ten subcommands, CALL_ROUNDS
 times per checkout after one warm-up call each, alternating which
@@ -182,6 +190,39 @@ def pass_child():
     return runs[1:]
 
 
+def memory_child():
+    """In a checkout's environment: the child's peak RSS in MB after set-up and the
+    warm-up pass, and each op's transient tracemalloc peak in bytes over one pass."""
+    import resource
+    import tracemalloc
+
+    import api_batch
+
+    ops = api_batch.build(SEED, api_batch.SIZES["full"])
+    api_batch.run_pass(ops)  # the warm-up pass, as the bench makes one
+    rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # as bench/run.py reads
+    peaks = {}
+
+    def traced(name, fn):
+        def call(out):
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            try:
+                return fn(out)
+            finally:
+                peaks[name] = tracemalloc.get_traced_memory()[1] - held
+        return call
+
+    for op in ops:
+        op.call = traced(op.name, op.call)
+    tracemalloc.start()
+    try:
+        api_batch.run_pass(ops)
+    finally:
+        tracemalloc.stop()
+    return {"rss_mb": rss_mb, "peaks": peaks}
+
+
 def calls_child(directory):
     """In a checkout's environment: write the cli_small inputs under
     `directory` and return the argument list of each case."""
@@ -237,6 +278,13 @@ def alternating_children(args, func="child", rounds=ROUNDS):
     return got
 
 
+def per_child(got, value):
+    """Each side's children in the order they ran, each as {row: value(child[row])
+    in ms}: a child that read slow on every row shows as one record here."""
+    return {side: [{name: round(value(t) * 1e3, 3) for name, t in child.items()}
+                   for child in children] for side, children in got.items()}
+
+
 def checks_section(args):
     """Per check and side: median, minimum and quartile spread of the CPU time
     over every timed run of every child, and the change's median over the parent's."""
@@ -252,7 +300,8 @@ def checks_section(args):
         row["change_over_parent"] = round(row["change"]["median_ms"] / row["parent"]["median_ms"], 3)
         per_check[name] = row
     return {"seed": CHECK_SEED, "clock": "process_time", "children_per_side": ROUNDS,
-            "repeats_per_child": CHECK_REPEATS, "warmup_runs_per_child": 1, "checks": per_check}
+            "repeats_per_child": CHECK_REPEATS, "warmup_runs_per_child": 1, "checks": per_check,
+            "per_child": per_child(got, statistics.median)}
 
 
 def setup_section(args):
@@ -269,7 +318,8 @@ def setup_section(args):
         row["change_wins"] = sum(c < p for p, c in zip(times["parent"], times["change"]))
         layers[name] = row
     return {"seed": SEED, "sizes": "full", "clock": "perf_counter",
-            "children_per_side": SETUP_ROUNDS, "layers": layers}
+            "children_per_side": SETUP_ROUNDS, "layers": layers,
+            "per_child": per_child(got, lambda t: t)}
 
 
 def pass_summary(got):
@@ -300,6 +350,28 @@ def pass_section(args):
     got = alternating_children(args, "pass_child")
     return {"seed": SEED, "sizes": "full", "clock": "perf_counter", "children_per_side": ROUNDS,
             "passes_per_child": REPEATS, "warmup_runs_per_child": 1, "functions": pass_summary(got)}
+
+
+def memory_summary(got):
+    """Per api_batch op, each side's median over its children of the op's transient
+    peak in KB, and the change's over the parent's; and each side's peak RSS per child."""
+    ops = {}
+    for name in got["parent"][0]["peaks"]:
+        row = {side: round(statistics.median(c["peaks"][name] for c in children) / 1024.0, 1)
+               for side, children in got.items()}
+        parent = row["parent"]
+        row["change_over_parent"] = round(row["change"] / parent, 3) if parent else None
+        ops[name] = row
+    rss = {side: {"median_mb": round(statistics.median(c["rss_mb"] for c in children), 2),
+                  "per_child_mb": [round(c["rss_mb"], 2) for c in children]}
+           for side, children in got.items()}
+    return {"peak_kb": ops, "rss": rss}
+
+
+def memory_section(args):
+    got = alternating_children(args, "memory_child")
+    return {"seed": SEED, "sizes": "full", "children_per_side": ROUNDS,
+            "warmup_runs_per_child": 1, **memory_summary(got)}
 
 
 def calls_summary(got):
@@ -407,7 +479,8 @@ def pairs_section(args):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("mode", choices=("serial", "checks", "setup", "pass", "calls", "pairs"))
+    parser.add_argument("mode", choices=("serial", "checks", "setup", "pass", "calls", "memory",
+                                         "pairs"))
     parser.add_argument("--parent", required=True)
     parser.add_argument("--change", required=True)
     parser.add_argument("--workload", default="api_batch")
@@ -433,6 +506,8 @@ def main(argv=None):
         doc["pass"] = pass_section(args)
     elif args.mode == "calls":
         doc["calls"] = calls_section(args)
+    elif args.mode == "memory":
+        doc["memory"] = memory_section(args)
     else:
         doc.setdefault("pairs", {})[args.workload] = pairs_section(args)
     path.write_text(json.dumps(doc, indent=1) + "\n")
