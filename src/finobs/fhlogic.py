@@ -121,9 +121,7 @@ def zero_sum_compatible(op):
     scalar; probing with two-atom differences across the support
     boundary recovers the same criterion.
     """
-    # over 2**k, k > 0 where a sum or magnitude could overflow: exact, so in range the bits agree
-    c = 2.0 ** -max(numeric.scale_exponent(op.block), numeric.scale_exponent(op.tail), 0)
-    block, tail = op.block * c, op.tail * c
+    c, block, tail = numeric.prescaled(op.block, op.tail)  # no sum or magnitude overflows
     scale = max(c, np.abs(tail), np.max(np.abs(block), initial=0.0))
     return numeric.within(np.sum(block, axis=0) - tail, numeric.ZERO_SUM * scale)
 

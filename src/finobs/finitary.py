@@ -258,9 +258,7 @@ def _commeasurable_matrices(systems):
         raise NotCommeasurable("operators are not commeasurable")
     basis = systems[0].vectors
     dense = [s.matrix() for s in systems]
-    # over 2**k, k > 0 where products could overflow: exact, so in range the bits agree
-    scales = [2.0 ** -max(numeric.scale_exponent(m), 0) for m in dense]
-    mats = [m * c for m, c in zip(dense, scales)]
+    scales, mats = zip(*map(numeric.prescaled, dense))  # so products cannot overflow
     for (a, ma, ca), (b, mb, cb) in combinations(zip(systems, mats, scales), 2):
         residuals = numeric.norm((ma @ mb - mb @ ma) @ basis.T, axis=0)
         if not numeric.within(residuals, numeric.tol_comm(a.norm() * ca, b.norm() * cb, ca * cb)):

@@ -84,6 +84,12 @@ def scale_exponent(x):
     return 0 if abs(k) < 480 else min(max(k, -1022), 1022)
 
 
+def prescaled(*arrays):
+    """c = 2**-max(k, 0), k the largest scale_exponent of `arrays`, and each array times c (exact)."""
+    c = 2.0 ** -max(*map(scale_exponent, arrays), 0)
+    return (c, *(x * c for x in arrays))
+
+
 def norm(x, axis=None):
     """np.linalg.norm(x, axis=axis) taken on x / 2**k, k = scale_exponent(x) (Blue
     1978); the scaling is exact, so in range the bits agree."""

@@ -116,9 +116,7 @@ class SignedTensor:
         if not peak < 2.0**479:  # else every entry is finite and scale_exponent(table) is 0
             if not np.isfinite(table).all():
                 raise ValidationError("table entries must be finite")
-            # over 2**k, k > 0 where a magnitude could overflow: exact, so in range the bits agree
-            c = 2.0 ** -max(numeric.scale_exponent(table), 0)
-            scaled = table * c
+            c, scaled = numeric.prescaled(table)  # so a magnitude cannot overflow
             peak = np.abs(scaled).max()
         mismatch = np.abs(scaled - alternation_signs(self.length) * scaled[0]).max()
         if not numeric.within(mismatch, numeric.ALTERNATION * max(peak, c)):

@@ -1,62 +1,28 @@
 """Parent-versus-change timings behind BENCH_serial.json and BENCH_verify.json.
 
-    python3 tools/bench_serial.py serial --parent P --change C [-o BENCH_serial.json]
-    python3 tools/bench_serial.py checks --parent P --change C [-o BENCH_verify.json]
-    python3 tools/bench_serial.py setup --parent P --change C [-o BENCH_serial.json]
-    python3 tools/bench_serial.py pass --parent P --change C [-o BENCH_serial.json]
-    python3 tools/bench_serial.py calls --parent P --change C [-o BENCH_serial.json]
-    python3 tools/bench_serial.py memory --parent P --change C [-o BENCH_serial.json]
-    python3 tools/bench_serial.py pairs --parent P --change C
-        --workload W --seeds S1,S2,... [-o BENCH_serial.json]
+    python3 tools/bench_serial.py MODE --parent P --change C [-o OUTPUT]
+    python3 tools/bench_serial.py pairs --parent P --change C --workload W --seeds S1,S2,...
 
-P and C are source checkouts.  `serial` times `serial.dumps_value` and
-`serial.loads_value` per kind over the calls of one api_batch pass (seed
-SEED): each of ROUNDS rounds runs one child per checkout (alternating
-which goes first), and each child records the calls of a pass, makes one
-warm-up run and then REPEATS timed runs.  `checks` takes the CPU time of
-each `verify` check at seed CHECK_SEED in process, in children run the
-same way, each making one warm-up run and CHECK_REPEATS timed runs of
-every check.  `setup` times api_batch's set-up layer by layer, in
-SETUP_ROUNDS children per checkout run the same way: the import of the
-bench module, each phase builder that `api_batch.build` calls (at seed
-SEED, full sizes), the `socks.pair_tensor` calls inside the socks phase,
-the warm-up pass, and the `PartitionPlus` and `PartialLabeling`
-constructors wherever the set-up calls them.  The bench's traced child
-records only the timed pass, so this is the layer view of `setup_s`.
-`pass` times api_batch's timed pass by function (each op's call, summed by
-the function name `run_pass(ops, spent)` uses, at seed SEED, full
-sizes), in ROUNDS children per checkout run the same way, each making
-one warm-up pass and then REPEATS timed passes: the layer view of
-`op_ref_s`.  In `setup` and `pass` a `gc.callbacks` timer also takes the
-garbage-collection time inside each row (`gc/<row>` in a child's record),
-and each side reports its median (`gc_median_ms`) and the median of the
-row's time less it (`net_median_ms`) beside the row: a collection pause
-lands in whichever row allocates past the threshold, not in the row that
-made the garbage.  `checks` and `setup` also keep each child's rows
-(`per_child`, each side's children in the order they ran), so a run in which
-one side's children all read slow can be told from a change.  `memory`
-runs ROUNDS children per checkout the same way; each builds api_batch's
-ops (seed SEED, full sizes), makes the warm-up pass, reads its
-`ru_maxrss`, and then takes each op's transient `tracemalloc` peak (bytes
-above what was held when the op started) over one more pass: the layer
-view of `peak_rss_mb`.  `calls` writes the cli_small inputs once
-(`bench/cli_inputs.write` at seed SEED, from C) and times
-`python -m finobs <argv>` for each of the ten subcommands, CALL_ROUNDS
-times per checkout after one warm-up call each, alternating which
-checkout goes first; it fails when the two give different stdout,
-stderr or exit code.  This is the layer view of cli_small `op_ref_s`.
-`pairs` runs
-`bench/run.py --workload W --seconds 25 --trace 0` in each checkout per
-seed, alternating which goes first, and gives each end-to-end metric a
-verdict: `gain_shown` and `within_bound` (see `pairs_summary`).
-Each merges its section into the output file.
+P and C are source checkouts; MODE is serial, checks, setup, pass, calls or
+memory; OUTPUT is BENCH_verify.json for checks, else BENCH_serial.json.
+Every mode runs the sides in pairs, alternating which goes first (`both`),
+and summarizes each row with `compare`.  `serial`, `checks`, `setup`,
+`pass` and `memory` run one child per side per round (see each `*_child`)
+and also keep each child's medians (`per_child`): the last three are the
+layer views of api_batch's `setup_s`, `op_ref_s` and `peak_rss_mb`.
+`calls` times `python -m finobs` for each cli_small case, the layer view of
+its `op_ref_s`.  `pairs` runs `bench/run.py --workload W --seconds 25
+--trace 0` per seed, with the verdicts of `pairs_summary`.  Each mode
+merges its section, and its command under `commands`, into OUTPUT.
 """
 
 import argparse
 import gc
+import importlib.metadata
 import json
 import os
 import platform
+import shlex
 import statistics
 import subprocess
 import sys
@@ -71,10 +37,16 @@ SETUP_ROUNDS = 10
 CALL_ROUNDS = 8
 
 
+def repeated(repeats, run):
+    """The samples of `repeats` calls of `run`, after one warm-up call."""
+    run()
+    return [run() for _ in range(repeats)]
+
+
 def child():
-    """In a checkout's environment: per-kind seconds of each timed run."""
+    """In a checkout's environment: seconds of `serial.dumps_value` and `loads_value` per kind
+    (and per name, `<name>/all`) in REPEATS runs of the calls of one api_batch pass."""
     import api_batch
-    import numpy
     from finobs import serial
 
     calls = []
@@ -86,38 +58,32 @@ def child():
     api_batch.run_pass(ops)
     for name, fn in real.items():
         setattr(serial, name, fn)
-    runs = []
-    for _ in range(REPEATS + 1):  # the first run is the warm-up
+
+    def run():
         spent = {}
         for name, kind, arg in calls:
             t0 = time.perf_counter()
             real[name](kind, arg)
-            key = f"{name}/{kind}"
-            spent[key] = spent.get(key, 0.0) + time.perf_counter() - t0
-        runs.append(spent)
-    counts, size = {}, {}
-    for name, kind, arg in calls:
-        key = f"{name}/{kind}"
-        counts[key] = counts.get(key, 0) + 1
-        text = arg if name == "loads_value" else real[name](kind, arg)
-        size[key] = size.get(key, 0) + len(text)
-    return {"runs": runs[1:], "calls": counts, "bytes": size, "numpy": numpy.__version__}
+            t = time.perf_counter() - t0
+            for key in (f"{name}/{kind}", f"{name}/all"):
+                spent[key] = spent.get(key, 0.0) + t
+        return spent
+    return repeated(REPEATS, run)
 
 
 def checks_child():
-    """In a checkout's environment: CPU seconds of each verify check, per timed run."""
+    """In a checkout's environment: CPU seconds of each verify check at seed CHECK_SEED, per
+    timed run; each check makes its warm-up and CHECK_REPEATS timed runs in a row."""
     from finobs import verify
 
-    out = {}
-    for suite in verify.SUITES.values():
-        for fn in suite:
-            runs = []
-            for _ in range(CHECK_REPEATS + 1):  # the first run is the warm-up
-                t0 = time.process_time()
-                name = fn(CHECK_SEED).name
-                runs.append(time.process_time() - t0)
-            out[name] = runs[1:]
-    return out
+    def run(fn):
+        t0 = time.process_time()
+        name = fn(CHECK_SEED).name
+        return name, time.process_time() - t0
+
+    runs = [repeated(CHECK_REPEATS, lambda: run(fn)) for suite in verify.SUITES.values()
+            for fn in suite]
+    return [dict(sample) for sample in zip(*runs)]
 
 
 def gc_clock():
@@ -148,8 +114,9 @@ def gc_timed(key, fn, spent, clock):
 
 
 def setup_child():
-    """In a checkout's environment: seconds of each layer of api_batch's set-up,
-    and under `gc/<layer>` the collection seconds inside it."""
+    """In a checkout's environment: one sample of the seconds of each layer of api_batch's
+    set-up (the import, each phase builder, `socks.pair_tensor`, the warm-up pass, and the
+    `PartitionPlus` and `PartialLabeling` constructors), and the collection in it (`gc/`)."""
     clock = gc_clock()
     t0 = time.perf_counter()
     import api_batch
@@ -170,29 +137,38 @@ def setup_child():
         cls.__post_init__ = timed(f"{cls.__name__}.__post_init__", cls.__post_init__)
     ops = api_batch.build(SEED, api_batch.SIZES["full"])
     timed("warmup_pass", api_batch.run_pass)(ops)
-    return spent
+    return [spent]
+
+
+def whole(run):
+    """A pass's seconds by function, with the whole pass as `all` (and its `gc/all`)."""
+    out = dict(run, **{"all": 0.0, "gc/all": 0.0})
+    for name, t in run.items():
+        out["gc/all" if name.startswith("gc/") else "all"] += t
+    return out
 
 
 def pass_child():
-    """In a checkout's environment: seconds of each function in each timed api_batch
-    pass, and under `gc/<function>` the collection seconds inside it."""
+    """In a checkout's environment: seconds of each function (and `whole`) in REPEATS
+    api_batch passes, and under `gc/<function>` the collection seconds inside it."""
     import api_batch
 
     ops = api_batch.build(SEED, api_batch.SIZES["full"])
     clock, spent = gc_clock(), {}
     for op in ops:  # keyed by function name, as `run_pass(ops, spent)` keys its times
         op.call = gc_timed(op.name.split("/")[0], op.call, spent, clock)
-    runs = []
-    for _ in range(REPEATS + 1):  # the first run is the warm-up
+
+    def run():
         spent.clear()
         api_batch.run_pass(ops)
-        runs.append(dict(spent))
-    return runs[1:]
+        return whole(spent)
+    return repeated(REPEATS, run)
 
 
 def memory_child():
-    """In a checkout's environment: the child's peak RSS in MB after set-up and the
-    warm-up pass, and each op's transient tracemalloc peak in bytes over one pass."""
+    """In a checkout's environment: one sample of the peak RSS in bytes after set-up and the
+    warm-up pass (`ru_maxrss`), and each op's transient tracemalloc peak (bytes above what
+    was held when it started) over one more pass."""
     import resource
     import tracemalloc
 
@@ -200,8 +176,7 @@ def memory_child():
 
     ops = api_batch.build(SEED, api_batch.SIZES["full"])
     api_batch.run_pass(ops)  # the warm-up pass, as the bench makes one
-    rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # as bench/run.py reads
-    peaks = {}
+    sample = {"ru_maxrss": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024}  # in KB
 
     def traced(name, fn):
         def call(out):
@@ -210,7 +185,7 @@ def memory_child():
             try:
                 return fn(out)
             finally:
-                peaks[name] = tracemalloc.get_traced_memory()[1] - held
+                sample[name] = tracemalloc.get_traced_memory()[1] - held
         return call
 
     for op in ops:
@@ -220,12 +195,11 @@ def memory_child():
         api_batch.run_pass(ops)
     finally:
         tracemalloc.stop()
-    return {"rss_mb": rss_mb, "peaks": peaks}
+    return [sample]
 
 
 def calls_child(directory):
-    """In a checkout's environment: write the cli_small inputs under
-    `directory` and return the argument list of each case."""
+    """In a checkout's environment: the argvs of the cli_small inputs it writes to `directory`."""
     import cli_inputs
 
     return [case.argv for case in cli_inputs.write(Path(directory), SEED)]
@@ -239,154 +213,83 @@ def tree_env(tree):
     return dict(os.environ, **THREADS, PYTHONPATH=os.pathsep.join(map(str, path)))
 
 
+def last_json(argv, tree, env=None):
+    """The JSON on the last stdout line of `argv` run in checkout `tree`; if it
+    fails, exit naming the tree, the command, its exit code and its stderr's tail."""
+    done = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True)
+    if done.returncode:
+        tail = "\n".join(done.stderr.splitlines()[-20:])
+        sys.exit(f"error: in {tree}, `{shlex.join(argv)}` exited {done.returncode}:\n{tail}")
+    return json.loads(done.stdout.splitlines()[-1])
+
+
 def run_child(tree, func="child", *args):
     code = f"import json, bench_serial; print(json.dumps(bench_serial.{func}(*{list(args)!r})))"
-    out = subprocess.run([sys.executable, "-c", code], env=tree_env(tree), cwd=tree,
-                         check=True, capture_output=True, text=True).stdout
-    return json.loads(out.splitlines()[-1])
+    return last_json([sys.executable, "-c", code], tree, tree_env(tree))
 
 
-def summary(values):
-    return {"median_ms": round(statistics.median(values) * 1e3, 3),
-            "min_ms": round(min(values) * 1e3, 3), "samples": len(values)}
+def both(sides, flip, run):
+    """{side: run(tree)} for each side of `sides` ({side: tree}), in reverse order when `flip`."""
+    order = list(sides)[::-1] if flip else list(sides)
+    return {side: run(sides[side]) for side in order}
 
 
-def layer_row(times, gc_times=None):
-    """Each side's summary of its `times` and the change's median over the
-    parent's; with `gc_times`, the collection seconds inside each sample, also
-    each side's median of them and of the times net of them, and the net ratio."""
-    row = {side: summary(t) for side, t in times.items()}
-    if gc_times:
-        for side, t in times.items():
-            net = [a - b for a, b in zip(t, gc_times[side])]
-            row[side].update(gc_median_ms=round(statistics.median(gc_times[side]) * 1e3, 3),
-                             net_median_ms=round(statistics.median(net) * 1e3, 3))
-        row["net_change_over_parent"] = round(
-            row["change"]["net_median_ms"] / row["parent"]["net_median_ms"], 3)
-    row["change_over_parent"] = round(row["change"]["median_ms"] / row["parent"]["median_ms"], 3)
-    return row
+def rounded(x):
+    return float(f"{x:.6g}")
 
 
-def alternating_children(args, func="child", rounds=ROUNDS):
-    """`rounds` children per checkout, alternating which goes first."""
-    sides = {"parent": args.parent, "change": args.change}
-    got = {side: [] for side in sides}
-    for r in range(rounds):
-        order = list(sides) if r % 2 == 0 else list(sides)[::-1]
-        for side in order:
-            got[side].append(run_child(sides[side], func))
-    return got
+def compare(samples, scale):
+    """Per row of `samples` ({side: [{row: value}]}, each side's in pair order):
+    each side's median, minimum and quartile spread (times `scale`) and sample
+    count, the change's median over the parent's and the pairs it wins (lower is
+    better; ties count for neither).  Where they hold a row's collection seconds
+    (`gc/<row>`), each side's median of them (`gc_median`) and of the row less them
+    (`net_median`), and the latter's ratio: a pause lands in whichever row
+    allocates past the threshold, not in the one that made the garbage."""
+    names = dict.fromkeys(name for sample in samples["parent"] for name in sample)
+    rows = {}
+    for name in (n for n in names if not n.startswith("gc/")):
+        got = {side: [s for s in kept if name in s] for side, kept in samples.items()}
+        v = {side: [s[name] for s in kept] for side, kept in got.items()}
+        mid = {side: statistics.median(x) for side, x in v.items()}
+        rows[name] = row = {}
+        for side, x in v.items():
+            q1, _, q3 = statistics.quantiles(x, n=4)
+            row[side] = {"median": rounded(mid[side] * scale), "min": rounded(min(x) * scale),
+                         "spread": rounded((q3 - q1) * scale), "samples": len(x)}
+        row["change_over_parent"] = (round(mid["change"] / mid["parent"], 3)
+                                     if mid["parent"] else None)
+        row["change_wins"] = sum(c < p for p, c in zip(v["parent"], v["change"]))
+        if f"gc/{name}" in names:
+            net = {side: statistics.median(s[name] - s[f"gc/{name}"] for s in kept)
+                   for side, kept in got.items()}
+            for side, kept in got.items():
+                collected = statistics.median(s[f"gc/{name}"] for s in kept)
+                row[side].update(gc_median=rounded(collected * scale),
+                                 net_median=rounded(net[side] * scale))
+            row["net_change_over_parent"] = round(net["change"] / net["parent"], 3)
+    return rows
 
 
-def per_child(got, value):
-    """Each side's children in the order they ran, each as {row: value(child[row])
-    in ms}: a child that read slow on every row shows as one record here."""
-    return {side: [{name: round(value(t) * 1e3, 3) for name, t in child.items()}
+def per_child(got, scale):
+    """Each side's children in the order they ran, each as its median per row (times
+    `scale`): a child that read slow on every row shows as one record here."""
+    return {side: [{name: rounded(statistics.median(s[name] for s in child if name in s) * scale)
+                    for name in dict.fromkeys(name for s in child for name in s)}
                    for child in children] for side, children in got.items()}
 
 
-def checks_section(args):
-    """Per check and side: median, minimum and quartile spread of the CPU time
-    over every timed run of every child, and the change's median over the parent's."""
-    got = alternating_children(args, "checks_child")
-    runs = {side: {name: [t for child in children for t in child[name]] for name in children[0]}
-            for side, children in got.items()}
-    per_check = {}
-    for name in runs["parent"]:
-        row = {}
-        for side, times in runs.items():
-            q1, _, q3 = statistics.quantiles(times[name], n=4)
-            row[side] = dict(summary(times[name]), spread_ms=round((q3 - q1) * 1e3, 3))
-        row["change_over_parent"] = round(row["change"]["median_ms"] / row["parent"]["median_ms"], 3)
-        per_check[name] = row
-    return {"seed": CHECK_SEED, "clock": "process_time", "children_per_side": ROUNDS,
-            "repeats_per_child": CHECK_REPEATS, "warmup_runs_per_child": 1, "checks": per_check,
-            "per_child": per_child(got, statistics.median)}
-
-
-def setup_section(args):
-    """Per layer and side: median and minimum over the children (one set-up
-    each), the pairs of children the change wins, and its median over the parent's."""
-    got = alternating_children(args, "setup_child", SETUP_ROUNDS)
-    layers = {}
-    for name in got["parent"][0]:
-        if name.startswith("gc/"):
-            continue
-        times, gc_times = ({side: [child[key] for child in children]
-                            for side, children in got.items()} for key in (name, f"gc/{name}"))
-        row = layer_row(times, gc_times)
-        row["change_wins"] = sum(c < p for p, c in zip(times["parent"], times["change"]))
-        layers[name] = row
-    return {"seed": SEED, "sizes": "full", "clock": "perf_counter",
-            "children_per_side": SETUP_ROUNDS, "layers": layers,
-            "per_child": per_child(got, lambda t: t)}
-
-
-def pass_summary(got):
-    """Per function of the pass, and for the whole pass (`all`), each side's median
-    and minimum over every timed pass of every child, and the change's median
-    over the parent's, with the collection columns of `layer_row` where the
-    passes hold `gc/` times; `got` holds each side's children, each a list of passes."""
-    def whole(run):  # the pass as `all`, and its collection seconds as `gc/all` if timed
-        out = dict(run, all=0.0)
-        for name, t in run.items():
-            key = "gc/all" if name.startswith("gc/") else "all"
-            out[key] = out.get(key, 0.0) + t
-        return out
-
-    runs = {side: [whole(run) for child in children for run in child]
-            for side, children in got.items()}
-    functions = {}
-    for name in runs["parent"][0]:
-        if name.startswith("gc/"):
-            continue
-        times, gc_times = ({side: [run.get(key, 0.0) for run in side_runs]
-                            for side, side_runs in runs.items()} for key in (name, f"gc/{name}"))
-        functions[name] = layer_row(times, gc_times if f"gc/{name}" in runs["parent"][0] else None)
-    return functions
-
-
-def pass_section(args):
-    got = alternating_children(args, "pass_child")
-    return {"seed": SEED, "sizes": "full", "clock": "perf_counter", "children_per_side": ROUNDS,
-            "passes_per_child": REPEATS, "warmup_runs_per_child": 1, "functions": pass_summary(got)}
-
-
-def memory_summary(got):
-    """Per api_batch op, each side's median over its children of the op's transient
-    peak in KB, and the change's over the parent's; and each side's peak RSS per child."""
-    ops = {}
-    for name in got["parent"][0]["peaks"]:
-        row = {side: round(statistics.median(c["peaks"][name] for c in children) / 1024.0, 1)
-               for side, children in got.items()}
-        parent = row["parent"]
-        row["change_over_parent"] = round(row["change"] / parent, 3) if parent else None
-        ops[name] = row
-    rss = {side: {"median_mb": round(statistics.median(c["rss_mb"] for c in children), 2),
-                  "per_child_mb": [round(c["rss_mb"], 2) for c in children]}
-           for side, children in got.items()}
-    return {"peak_kb": ops, "rss": rss}
-
-
-def memory_section(args):
-    got = alternating_children(args, "memory_child")
-    return {"seed": SEED, "sizes": "full", "children_per_side": ROUNDS,
-            "warmup_runs_per_child": 1, **memory_summary(got)}
-
-
-def calls_summary(got):
-    """Per subcommand, and over every call (`all`), each side's median and
-    minimum, the calls the change wins against the parent's call it was
-    paired with, and the change's median over the parent's; `got` holds
-    each side's seconds per subcommand, in pair order."""
-    rows = {}
-    for name in [*got["parent"], "all"]:
-        times = {side: sum(calls.values(), []) if name == "all" else calls[name]
-                 for side, calls in got.items()}
-        row = layer_row(times)
-        row["change_wins"] = sum(c < p for p, c in zip(times["parent"], times["change"]))
-        rows[name] = row
-    return rows
+def children_section(func, rounds, scale, unit, rows, about):
+    """The section of a mode running `rounds` children of `func` per checkout: `about`,
+    the rows (as `rows`) and `per_child`, in `unit`, the children's values times `scale`."""
+    def section(args):
+        sides = {"parent": args.parent, "change": args.change}
+        runs = [both(sides, r % 2, lambda tree: run_child(tree, func)) for r in range(rounds)]
+        got = {side: [run[side] for run in runs] for side in sides}
+        pooled = {side: [s for child in children for s in child] for side, children in got.items()}
+        return {**about, "unit": unit, "children_per_side": rounds,
+                rows: compare(pooled, scale), "per_child": per_child(got, scale)}
+    return section
 
 
 def time_call(tree, argv):
@@ -399,61 +302,35 @@ def time_call(tree, argv):
 
 def calls_section(args):
     sides = {"parent": args.parent, "change": args.change}
+    samples = {side: [] for side in sides}
     with tempfile.TemporaryDirectory() as directory:
         argvs = run_child(args.change, "calls_child", directory)
         for tree in sides.values():  # the warm-up call
             time_call(tree, argvs[0])
-        got = {side: {argv[0]: [] for argv in argvs} for side in sides}
         for r in range(CALL_ROUNDS):
             for i, argv in enumerate(argvs):
-                order = list(sides) if (r + i) % 2 == 0 else list(sides)[::-1]
-                printed = {}
-                for side in order:
-                    seconds, printed[side] = time_call(sides[side], argv)
-                    got[side][argv[0]].append(seconds)
-                if printed["parent"] != printed["change"]:
+                got = both(sides, (r + i) % 2, lambda tree: time_call(tree, argv))
+                if got["parent"][1] != got["change"][1]:
                     sys.exit(f"error: `finobs {argv[0]}` prints differently in parent and change")
-    return {"seed": SEED, "clock": "perf_counter", "rounds": CALL_ROUNDS,
-            "warmup_calls_per_side": 1, "subcommands": calls_summary(got)}
-
-
-def serial_section(args):
-    got = alternating_children(args)
-    out = {}
-    for side, results in got.items():
-        runs = [run for result in results for run in result["runs"]]
-        keys = sorted(runs[0])
-        per_kind = {k: summary([run[k] for run in runs]) for k in keys}
-        for k in keys:
-            per_kind[k].update(calls=results[0]["calls"][k], bytes=results[0]["bytes"][k])
-        for name in ("dumps_value", "loads_value"):
-            per_kind[f"{name}/all"] = summary(
-                [sum(v for k, v in run.items() if k.startswith(name + "/")) for run in runs])
-        out[side] = per_kind
-        numpy_version = results[0]["numpy"]
-    return {"seed": SEED, "rounds": ROUNDS, "repeats_per_child": REPEATS,
-            "warmup_runs_per_child": 1, "numpy": numpy_version, **out}
+                for side, (seconds, _) in got.items():
+                    samples[side].append({argv[0]: seconds})
+    pooled = {side: v + [{"all": t} for s in v for t in s.values()] for side, v in samples.items()}
+    return {"seed": SEED, "clock": "perf_counter", "unit": "ms", "rounds": CALL_ROUNDS,
+            "warmup_calls_per_side": 1, "subcommands": compare(pooled, 1e3)}
 
 
 def pairs_summary(rows, bounds):
-    """Per end-to-end metric: each side's median and quartiles, the pairs
-    the change wins (lower is better; ties count for neither) and two verdicts.
-    `gain_shown`: the change wins at least 9 of every 10 pairs, and the
-    parent's median exceeds the change's by more than the parent's quartile
-    spread.  `within_bound`: the change's median is at most the parent's
-    times 1 + the metric's `bound` (`bounds`, from BENCHMARK.json)."""
-    out = {}
-    for metric in rows[0]["parent"]["metrics"]:
-        sides = {side: [row[side]["metrics"][metric]["value"] for row in rows]
-                 for side in ("parent", "change")}
-        row = {side: {"median": statistics.median(v), "quartiles": statistics.quantiles(v, n=4)}
-               for side, v in sides.items()}
-        wins = sum(c < p for p, c in zip(sides["parent"], sides["change"]))
-        q1, _, q3 = row["parent"]["quartiles"]
+    """Per end-to-end metric, `compare`'s row over the runs (in the metric's unit) and two
+    verdicts.  `gain_shown`: the change wins at least 9 of every 10 pairs, and the parent's
+    median exceeds the change's by more than the parent's quartile spread.  `within_bound`:
+    the change's median is at most the parent's times 1 + the metric's `bound` (`bounds`)."""
+    out = compare({side: [{name: m["value"] for name, m in row[side]["metrics"].items()}
+                          for row in rows] for side in ("parent", "change")}, 1)
+    for metric, row in out.items():
         parent, change = row["parent"]["median"], row["change"]["median"]
-        out[metric] = dict(row, change_wins=wins, pairs=len(rows),
-                           gain_shown=10 * wins >= 9 * len(rows) and parent - change > q3 - q1,
-                           within_bound=change <= parent * (1.0 + bounds[metric]))
+        row.update(gain_shown=10 * row["change_wins"] >= 9 * len(rows)
+                   and parent - change > row["parent"]["spread"],
+                   within_bound=change <= parent * (1.0 + bounds[metric]))
     out["failed"] = {side: sum(row[side]["failed"] for row in rows) for side in ("parent", "change")}
     return out
 
@@ -463,53 +340,59 @@ def pairs_section(args):
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     sides = {"parent": args.parent, "change": args.change}
     rows = []
-    for i, seed in enumerate(int(s) for s in args.seeds.split(",")):
-        order = list(sides) if i % 2 == 0 else list(sides)[::-1]
-        row = {"seed": seed, "first": order[0]}
-        for side in order:
-            argv = [sys.executable, "bench/run.py", "--workload", args.workload,
-                    "--seed", str(seed), "--seconds", "25", "--trace", "0"]
-            out = subprocess.run(argv, cwd=sides[side], check=True, capture_output=True,
-                                 text=True).stdout
-            row[side] = json.loads(out.splitlines()[-1])
-        rows.append(row)
-        print(json.dumps(row), flush=True)
+    for i, seed in enumerate(args.seeds):
+        argv = [sys.executable, "bench/run.py", "--workload", args.workload,
+                "--seed", str(seed), "--seconds", "25", "--trace", "0"]
+        got = both(sides, i % 2, lambda tree: last_json(argv, tree))
+        rows.append({"seed": seed, "first": next(iter(got)), **got})
+        print(json.dumps(rows[-1]), flush=True)
     return {"summary": pairs_summary(rows, bounds), "runs": rows}
+
+
+MODES = {
+    "serial": children_section("child", ROUNDS, 1e3, "ms", "kinds", dict(
+        seed=SEED, clock="perf_counter", repeats_per_child=REPEATS, warmup_runs_per_child=1)),
+    "checks": children_section("checks_child", ROUNDS, 1e3, "ms", "checks", dict(
+        seed=CHECK_SEED, clock="process_time", repeats_per_child=CHECK_REPEATS,
+        warmup_runs_per_child=1)),
+    "setup": children_section("setup_child", SETUP_ROUNDS, 1e3, "ms", "layers", dict(
+        seed=SEED, sizes="full", clock="perf_counter")),
+    "pass": children_section("pass_child", ROUNDS, 1e3, "ms", "functions", dict(
+        seed=SEED, sizes="full", clock="perf_counter", passes_per_child=REPEATS,
+        warmup_runs_per_child=1)),
+    "memory": children_section("memory_child", ROUNDS, 1 / 1024, "KB", "ops", dict(
+        seed=SEED, sizes="full", warmup_runs_per_child=1)),
+    "calls": calls_section,
+    "pairs": pairs_section,
+}
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("mode", choices=("serial", "checks", "setup", "pass", "calls", "memory",
-                                         "pairs"))
+    parser.add_argument("mode", choices=MODES)
     parser.add_argument("--parent", required=True)
     parser.add_argument("--change", required=True)
     parser.add_argument("--workload", default="api_batch")
-    parser.add_argument("--seeds", default="")
-    parser.add_argument("-o", "--output", help="BENCH_verify.json for checks, "
-                        "else BENCH_serial.json")
+    parser.add_argument("--seeds", type=lambda s: [int(seed) for seed in s.split(",")])
+    parser.add_argument("-o", "--output",
+                        help="BENCH_verify.json for checks, else BENCH_serial.json")
     args = parser.parse_args(argv)
+    if args.mode == "pairs" and len(args.seeds or ()) < 2:  # a quartile spread needs two runs
+        parser.error("pairs needs --seeds S1,S2,... (two or more)")
 
     path = Path(args.output or f"BENCH_{'verify' if args.mode == 'checks' else 'serial'}.json")
     doc = json.loads(path.read_text()) if path.exists() else {}
-    section = f"pairs/{args.workload}" if args.mode == "pairs" else args.mode
-    doc.setdefault("commands", {})[section] = "python3 tools/bench_serial.py " + " ".join(
+    name = f"pairs/{args.workload}" if args.mode == "pairs" else args.mode
+    doc.setdefault("commands", {})[name] = "python3 tools/bench_serial.py " + " ".join(
         argv if argv is not None else sys.argv[1:])
     doc["host"] = {"python": platform.python_version(), "machine": platform.machine(),
-                   "cpus": os.cpu_count(), "threads": THREADS}
-    if args.mode == "serial":
-        doc["serial"] = serial_section(args)
-    elif args.mode == "checks":
-        doc["checks"] = checks_section(args)
-    elif args.mode == "setup":
-        doc["setup"] = setup_section(args)
-    elif args.mode == "pass":
-        doc["pass"] = pass_section(args)
-    elif args.mode == "calls":
-        doc["calls"] = calls_section(args)
-    elif args.mode == "memory":
-        doc["memory"] = memory_section(args)
+                   "cpus": os.cpu_count(), "threads": THREADS,
+                   "numpy": importlib.metadata.version("numpy")}
+    section = MODES[args.mode](args)
+    if args.mode == "pairs":
+        doc.setdefault("pairs", {})[args.workload] = section
     else:
-        doc.setdefault("pairs", {})[args.workload] = pairs_section(args)
+        doc[args.mode] = section
     path.write_text(json.dumps(doc, indent=1) + "\n")
 
 
